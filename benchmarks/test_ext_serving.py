@@ -12,7 +12,8 @@ from helpers import print_rows, run_once
 from repro.core.experiment import cpu_deployment, gpu_deployment
 from repro.llm.config import LLAMA2_7B
 from repro.llm.datatypes import BFLOAT16
-from repro.serving.scheduler import ContinuousBatchingScheduler, poisson_stream
+from repro.serving.columnar import ColumnarScheduler
+from repro.serving.scheduler import poisson_stream
 
 CONFIGS = ("baremetal", "tdx", "gpu", "cgpu")
 
@@ -29,7 +30,7 @@ def regenerate() -> dict:
             deployment = gpu_deployment(confidential=config == "cgpu")
         else:
             deployment = cpu_deployment(config, sockets_used=1)
-        scheduler = ContinuousBatchingScheduler(
+        scheduler = ColumnarScheduler(
             deployment, LLAMA2_7B, BFLOAT16, kv_capacity_tokens=200_000,
             max_batch=32)
         report = scheduler.run(requests)

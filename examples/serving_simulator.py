@@ -10,7 +10,7 @@ Run:  python examples/serving_simulator.py
 
 from repro import cpu_deployment, gpu_deployment
 from repro.llm import BFLOAT16, LLAMA2_7B
-from repro.serving import ContinuousBatchingScheduler, poisson_stream
+from repro.serving import ColumnarScheduler, poisson_stream
 
 
 def main() -> None:
@@ -28,7 +28,7 @@ def main() -> None:
             deployment = gpu_deployment(confidential=backend == "cgpu")
         else:
             deployment = cpu_deployment(backend, sockets_used=1)
-        scheduler = ContinuousBatchingScheduler(
+        scheduler = ColumnarScheduler(
             deployment, LLAMA2_7B, BFLOAT16, kv_capacity_tokens=200_000,
             max_batch=32)
         report = scheduler.run(requests)
@@ -40,7 +40,7 @@ def main() -> None:
               f"{report.total_preemptions:8d}")
 
     print("\nTight KV pool (preemption demo):")
-    scheduler = ContinuousBatchingScheduler(
+    scheduler = ColumnarScheduler(
         cpu_deployment("tdx", sockets_used=1), LLAMA2_7B, BFLOAT16,
         kv_capacity_tokens=4096, max_batch=16)
     tight = poisson_stream(12, rate_per_s=50.0, mean_prompt=300,

@@ -17,7 +17,7 @@ Usage::
 
 With ``--budget-s`` the script exits non-zero when the suite exceeds the
 budget — CI uses this to fail if the suite regresses past 2x the
-post-optimization baseline.  ``--compare`` gates the event-engine
+post-optimization baseline.  ``--compare`` gates the fleet-core
 headline (``fleet_1M_req``): the run fails if its wall time regresses
 more than 25% past the committed baseline.
 """
@@ -124,7 +124,7 @@ def micro_benchmarks() -> dict:
                                   prefix_tokens=64)
     results["fleet_tenant_mix"] = _time(
         lambda: run_tenant_fleet(tenant_population, kind="tdx", count=2,
-                                 engine="event", admission="wfq",
+                                 admission="wfq",
                                  kv_isolation="shared-prefix", max_batch=16,
                                  kv_capacity_tokens=65536), repeats=3)
 
@@ -145,11 +145,11 @@ def micro_benchmarks() -> dict:
 
 
 def fleet_million_benchmark() -> dict:
-    """The event-engine headline: one million requests in one run.
+    """The fleet-core headline: one million requests in one run.
 
     Stream generation happens outside the timed region (it is numpy
     columnar construction, not simulation); the measurement is the
-    event-driven fleet core serving the full table.  Run once —
+    columnar fleet core serving the full table.  Run once —
     at this scale a single run is statistically stable.
     """
     from repro.fleet import fixed_fleet, poisson_table, replica_spec
@@ -157,7 +157,7 @@ def fleet_million_benchmark() -> dict:
     table = poisson_table(1_000_000, rate_per_s=400.0, mean_prompt=128,
                           mean_output=32, seed=11)
     start = time.perf_counter()
-    report = fixed_fleet(spec, 8, engine="event").run(table)
+    report = fixed_fleet(spec, 8).run(table)
     wall_s = time.perf_counter() - start
     requests = len(report.outcomes)
     if requests < 1_000_000:
@@ -166,34 +166,6 @@ def fleet_million_benchmark() -> dict:
     return {"requests": requests, "wall_s": wall_s,
             "req_per_wall_s": requests / wall_s, "repeats": 1}
 
-
-def fleet_stepped_reference_benchmark() -> dict:
-    """Same fleet config as ``fleet_1M_req``, stepped engine, 60k requests.
-
-    The live denominator for the event-engine speedup: the 40-request
-    smoke is too small once the shared step-cost tables are warm (it
-    finishes in milliseconds and measures cache lookups, not the dense
-    tick loop), so the apples-to-apples stepped throughput comes from a
-    stream long enough for the per-tick and per-request costs to
-    dominate (~3 s of wall time at 60k requests).
-    """
-    from repro.fleet import fixed_fleet, poisson_arrivals, replica_spec
-    spec = replica_spec("tdx", max_batch=16, kv_capacity_tokens=65536)
-    stream = poisson_arrivals(60_000, rate_per_s=400.0, mean_prompt=128,
-                              mean_output=32, seed=11)
-    start = time.perf_counter()
-    report = fixed_fleet(spec, 8, engine="stepped").run(stream)
-    wall_s = time.perf_counter() - start
-    requests = len(report.outcomes)
-    return {"requests": requests, "wall_s": wall_s,
-            "req_per_wall_s": requests / wall_s, "repeats": 1}
-
-
-#: The stepped core's simulated-requests-per-wall-second at the commit
-#: that introduced the event engine (fleet_2x_tdx_40req: 40 requests in
-#: 0.404 s).  Frozen so the headline speedup ratio keeps its meaning as
-#: both engines get faster.
-STEPPED_BASELINE_REQ_S = 40 / 0.404
 
 #: Regression tolerance for the --compare gate: a benchmark may be at
 #: most this much slower than the committed baseline before CI fails.
@@ -251,7 +223,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--out", type=Path, default=None,
                         help="write the JSON report to this path")
     parser.add_argument("--quick", action="store_true",
-                        help="skip the 1M-request event-engine benchmark")
+                        help="skip the 1M-request fleet benchmark")
     parser.add_argument("--compare", type=Path, default=None,
                         help="fail (exit 1) if a gated benchmark regresses "
                              f"more than {(COMPARE_SLACK - 1) * 100:.0f}%% "
@@ -275,21 +247,6 @@ def main(argv: list[str] | None = None) -> int:
 
     if not args.quick:
         micro["fleet_1M_req"] = fleet_million_benchmark()
-        micro["fleet_stepped_60k_req"] = fleet_stepped_reference_benchmark()
-        # Simulated-requests-per-wall-second vs the stepped core.  The
-        # acceptance baseline is frozen at the pre-event-core commit of
-        # fleet_2x_tdx_40req (40 req / 0.404 s ~= 100 req/s).  The live
-        # ratio against this run's same-config stepped reference is
-        # reported alongside and is far smaller — the op-cost memo and
-        # shared step tables that make the event core fast sped the
-        # stepped core up by a similar factor, so on this saturated
-        # stream (no quiet ticks to jump) the engines are within a
-        # small factor of each other once caches are warm.
-        event_rps = micro["fleet_1M_req"]["req_per_wall_s"]
-        live_rps = micro["fleet_stepped_60k_req"]["req_per_wall_s"]
-        report["event_engine_speedup_x"] = round(
-            event_rps / STEPPED_BASELINE_REQ_S, 1)
-        report["event_engine_speedup_live_x"] = round(event_rps / live_rps, 1)
 
     if args.suite or args.budget_s is not None:
         report["suite"] = suite_benchmark()

@@ -36,7 +36,6 @@ def chaos_fleet(kind: str, replicas: int = 2,
                 horizon_s: float = 40.0, seed: int = 0,
                 timeout_s: float = 20.0,
                 max_attempts: int = 4,
-                engine: str = "stepped",
                 boot: BootProfile | None = None) -> FleetSimulator:
     """A fixed fleet armed with an MTBF fault schedule and retries.
 
@@ -55,8 +54,7 @@ def chaos_fleet(kind: str, replicas: int = 2,
                                  horizon_s=horizon_s, seed=seed)
     retry = RetryPolicy(timeout_s=timeout_s, max_attempts=max_attempts,
                         seed=seed)
-    return fixed_fleet(spec, replicas, faults=schedule, retry_policy=retry,
-                       engine=engine)
+    return fixed_fleet(spec, replicas, faults=schedule, retry_policy=retry)
 
 
 #: Canonical column order of :func:`sweep_row` — JSON round-trips (the
@@ -96,7 +94,7 @@ def iter_mtbf_rows(kinds: tuple[str, ...] = DEFAULT_KINDS,
                    mean_prompt: int = 128, mean_output: int = 64,
                    replicas: int = 1, seed: int = 7,
                    slo_ttft_s: float = 2.0, timeout_s: float = 20.0,
-                   horizon_s: float = 40.0, engine: str = "stepped"):
+                   horizon_s: float = 40.0):
     """Yield :func:`mtbf_sweep` rows one completed point at a time.
 
     The streaming form exists so CLIs can emit partial results (JSONL)
@@ -109,7 +107,7 @@ def iter_mtbf_rows(kinds: tuple[str, ...] = DEFAULT_KINDS,
                                         mean_output, seed=seed)
             fleet = chaos_fleet(kind, replicas=replicas, mtbf_s=mtbf_s,
                                 horizon_s=horizon_s, seed=seed,
-                                timeout_s=timeout_s, engine=engine)
+                                timeout_s=timeout_s)
             report = fleet.run(requests)
             yield sweep_row(kind, mtbf_s, report, slo_ttft_s)
 

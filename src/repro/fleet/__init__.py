@@ -1,7 +1,7 @@
 """Fleet-scale serving simulation: replicas, routing, autoscaling, cost.
 
 Composes the steppable continuous-batching scheduler
-(:mod:`repro.serving.scheduler`), the TEE-aware cost model and the
+(:mod:`repro.serving.columnar`), the TEE-aware cost model and the
 price catalog (:mod:`repro.cost.pricing`) into a multi-replica cluster
 under a shared discrete-event clock — the layer that turns the paper's
 per-instance overhead and cost numbers into serving economics under
@@ -37,7 +37,7 @@ from .planner import (
     iter_capacity_points,
     evaluate_fleet,
 )
-from .replica import ENGINES, REPLICA_KINDS, Replica, ReplicaSpec, replica_spec
+from .replica import REPLICA_KINDS, Replica, ReplicaSpec, replica_spec
 from .report import FleetReport, ReplicaUsage
 from .router import (
     ROUTER_KINDS,
@@ -57,7 +57,6 @@ __all__ = [
     "ColumnarOutcomes",
     "CostSloRouter",
     "DEFAULT_TICK_S",
-    "ENGINES",
     "FleetReport",
     "FleetSimulator",
     "KvPressureRouter",

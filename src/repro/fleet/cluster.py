@@ -9,23 +9,20 @@ decode steps are not preemptible) but are resynchronized by the
 horizon of the next ``step`` call — the same quantized-time contract
 real cluster managers have with their nodes.
 
-Two engines implement that contract:
-
-* ``engine="stepped"`` — the original core: object-per-request state,
-  every tick executed.
-* ``engine="event"`` — the columnar core: request streams live in
-  numpy columns (:class:`~repro.fleet.table.RequestTable`), replicas
-  run the :class:`~repro.serving.columnar.ColumnarScheduler`, finishes
-  land in an append-only :class:`~repro.fleet.table.OutcomeLog`, and
-  :meth:`FleetSimulator.run` jumps quiet stretches of the tick grid in
-  one composed scheduler step instead of ticking through them.  The
-  jump is taken only when no tick in the stretch could act (no arrival,
-  retry, fault, boot/attest/restart/hang edge, or flight timeout is
-  due, no autoscaler, no draining or slowed replica, nothing held) and
-  always lands *before* the next such edge, so the ticks that do act
-  execute at exactly the stepped engine's clock values — reports are
-  bit-identical, pinned by the ``fleet.event_core_parity`` audit
-  checks.
+The core is columnar: request streams live in numpy columns
+(:class:`~repro.fleet.table.RequestTable`), replicas run the
+:class:`~repro.serving.columnar.ColumnarScheduler`, and finishes land
+in an append-only :class:`~repro.fleet.table.OutcomeLog`.
+:meth:`FleetSimulator.run` jumps quiet stretches of the tick grid in
+one composed scheduler step instead of ticking through them.  The jump
+is taken only when no tick in the stretch could act (no arrival, retry,
+fault, boot/attest/restart/hang edge, or flight timeout is due, no
+autoscaler, no draining or slowed replica, nothing held) and always
+lands *before* the next such edge, so the ticks that do act execute at
+exactly the clock values of the every-tick
+``begin_run``/``run_tick``/``finish_run`` loop — reports are
+bit-identical to it, pinned by the ``fleet.event_core_parity`` audit
+checks.
 
 Fault injection (:mod:`repro.faults`) plugs into the same loop: when a
 schedule, retry policy, or degradation policy is supplied, each tick
@@ -45,6 +42,7 @@ one bit-identical :class:`~repro.fleet.report.FleetReport`.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 
 from ..faults.attest import FleetAttestation, needs_attestation
@@ -52,13 +50,12 @@ from ..faults.injector import FaultInjector
 from ..faults.resilience import DegradationPolicy, RetryPolicy, ShedRequest
 from ..faults.schedule import DEFAULT_DURATION_S, FaultEvent, FaultSchedule
 from ..scaleout.links import link_slowdown_factor
-from ..serving.scheduler import RequestOutcome, ServeRequest
+from ..serving.scheduler import ServeRequest
 from .autoscaler import ReactiveAutoscaler
 from .replica import (
     ATTESTING,
     BOOTING,
     DRAINING,
-    ENGINES,
     FAILED,
     LIVE,
     RETIRED,
@@ -133,26 +130,22 @@ class _RunState:
     or on the replicas/router/autoscaler, never in a stack frame.
     """
 
-    def __init__(self, requests: list[ServeRequest] | RequestTable,
-                 pending: list[ServeRequest], start: float, now: float,
-                 peak: int, chaos: _ChaosState | None) -> None:
-        self.requests = requests
-        self.pending = pending
+    def __init__(self, table: RequestTable, tick_s: float, peak: int,
+                 chaos: _ChaosState | None) -> None:
+        order = table.arrival_order()
+        arrivals = table.arrival_s[order]
+        self.table = table
+        # Arrival-ordered drain cursor: flat lists plus a head pointer
+        # instead of pop(0) surgery.
+        self.pending_arrivals: list[float] = arrivals.tolist()
+        self.pending_rows: list[int] = order.tolist()
+        self.pending_head = 0
         self.held: list[ServeRequest] = []  # arrived but unroutable
-        self.outcomes: dict[int, RequestOutcome] = {}
-        self.start = start
-        self.now = now
+        self.finished = OutcomeLog()
+        self.start = float(arrivals[0])
+        self.now = (self.start // tick_s) * tick_s
         self.peak = peak
         self.chaos = chaos
-        # Event-engine columnar state (all None/unused under "stepped"):
-        # the stream as a RequestTable, the arrival-ordered drain cursor
-        # (flat lists + head pointer instead of pop(0) surgery), and the
-        # append-only finish ledger replacing the outcome dict.
-        self.table: RequestTable | None = None
-        self.pending_arrivals: list[float] = []
-        self.pending_rows: list[int] = []
-        self.pending_head = 0
-        self.finished: OutcomeLog | None = None
 
 
 class FleetSimulator:
@@ -177,10 +170,6 @@ class FleetSimulator:
         degradation: What to do with work the fleet cannot route within
             ``max_hold_s`` — shed by priority, or spill onto emergency
             replicas of another backend.
-        engine: ``"stepped"`` (object-per-request core, every tick
-            executed) or ``"event"`` (columnar core with quiet-tick
-            jumping; bit-identical reports, orders of magnitude faster
-            on large streams).
 
     Supplying any of the three arms the chaos path; leaving all three
     ``None`` runs the exact fault-free instruction sequence.
@@ -192,16 +181,13 @@ class FleetSimulator:
                  tick_s: float = DEFAULT_TICK_S,
                  faults: FaultSchedule | FaultInjector | None = None,
                  retry_policy: RetryPolicy | None = None,
-                 degradation: DegradationPolicy | None = None,
-                 engine: str = "stepped") -> None:
+                 degradation: DegradationPolicy | None = None) -> None:
         if not specs:
             raise ValueError("at least one initial replica spec required")
-        if tick_s <= 0:
-            raise ValueError("tick_s must be positive")
-        if engine not in ENGINES:
-            raise ValueError(f"unknown engine {engine!r}; "
-                             f"expected one of {ENGINES}")
-        self.engine = engine
+        # NaN passes a plain `<= 0` comparison and an infinite tick
+        # never advances the grid, so finiteness is explicit.
+        if not math.isfinite(tick_s) or tick_s <= 0:
+            raise ValueError("tick_s must be finite and positive")
         self.router = router or LeastOutstandingRouter()
         self.autoscaler = autoscaler
         self.scale_spec = scale_spec or specs[0]
@@ -225,8 +211,7 @@ class FleetSimulator:
                    boot_latency_s: float, origin: str = "initial") -> Replica:
         replica = Replica(replica_id=len(self.replicas), spec=spec,
                           provisioned_s=provisioned_s,
-                          boot_latency_s=boot_latency_s, origin=origin,
-                          engine=self.engine)
+                          boot_latency_s=boot_latency_s, origin=origin)
         self.replicas.append(replica)
         if self.attestation is not None and needs_attestation(spec.kind):
             self.attestation.enroll(replica.replica_id)
@@ -426,11 +411,11 @@ class FleetSimulator:
         between any two ticks.  :meth:`run` composes exactly these
         calls; the instruction sequence is unchanged.
 
-        Either engine accepts a ``list[ServeRequest]`` or a
-        :class:`~repro.fleet.table.RequestTable` and converts to its
-        native container; for million-request streams, build the table
-        directly (``poisson_table`` et al.) so no object list ever
-        exists.
+        Accepts a :class:`~repro.fleet.table.RequestTable` or any
+        sequence of :class:`~repro.serving.scheduler.ServeRequest`
+        (columnarized via ``RequestTable.from_requests``); for
+        million-request streams, build the table directly
+        (``poisson_table`` et al.) so no object list ever exists.
 
         Raises:
             ValueError: On an empty stream or if a run is in progress.
@@ -450,35 +435,9 @@ class FleetSimulator:
                 if needs_attestation(replica.spec.kind):
                     assert self.attestation is not None
                     self.attestation.readmit(replica.replica_id)
-        if self.engine == "event":
-            table = (requests if isinstance(requests, RequestTable)
-                     else RequestTable.from_requests(requests))
-            self._run = self._arm_event_run(table, state)
-            return
-        if isinstance(requests, RequestTable):
-            requests = list(requests)
-        pending = sorted(requests, key=lambda r: (r.arrival_s, r.request_id))
-        start = pending[0].arrival_s
-        self._run = _RunState(
-            requests=list(requests), pending=pending, start=start,
-            now=(start // self.tick_s) * self.tick_s,
-            peak=len(self.active), chaos=state)
-
-    def _arm_event_run(self, table: RequestTable,
-                       state: _ChaosState | None) -> _RunState:
-        """Build the columnar run state for an event-engine run."""
-        order = table.arrival_order()
-        arrivals = table.arrival_s[order]
-        start = float(arrivals[0])
-        run = _RunState(
-            requests=table, pending=[], start=start,
-            now=(start // self.tick_s) * self.tick_s,
-            peak=len(self.active), chaos=state)
-        run.table = table
-        run.pending_arrivals = arrivals.tolist()
-        run.pending_rows = order.tolist()
-        run.finished = OutcomeLog()
-        return run
+        table = (requests if isinstance(requests, RequestTable)
+                 else RequestTable.from_requests(requests))
+        self._run = _RunState(table, self.tick_s, len(self.active), state)
 
     @property
     def run_active(self) -> bool:
@@ -487,10 +446,7 @@ class FleetSimulator:
         if run is None:
             return False
         state = run.chaos
-        if run.table is not None:
-            has_pending = run.pending_head < len(run.pending_arrivals)
-        else:
-            has_pending = bool(run.pending)
+        has_pending = run.pending_head < len(run.pending_arrivals)
         return bool(has_pending or run.held
                     or (state is not None and state.retry_queue)
                     or any(r.outstanding for r in self.replicas))
@@ -522,17 +478,13 @@ class FleetSimulator:
 
         due = run.held
         run.held = []
-        if run.table is not None:
-            arrivals = run.pending_arrivals
-            rows = run.pending_rows
-            head, end = run.pending_head, len(arrivals)
-            while head < end and arrivals[head] <= now:
-                due.append(run.table.request(rows[head]))
-                head += 1
-            run.pending_head = head
-        else:
-            while run.pending and run.pending[0].arrival_s <= now:
-                due.append(run.pending.pop(0))
+        arrivals = run.pending_arrivals
+        rows = run.pending_rows
+        head, end = run.pending_head, len(arrivals)
+        while head < end and arrivals[head] <= now:
+            due.append(run.table.request(rows[head]))
+            head += 1
+        run.pending_head = head
         if state is not None:
             due.extend(state.retry_queue.pop_due(now))
         for request in due:
@@ -554,16 +506,7 @@ class FleetSimulator:
 
         for replica in self.replicas:
             if replica.active:
-                finished = replica.step(now)
-                if run.finished is not None:
-                    self._log_finished(replica, finished, run, state)
-                else:
-                    for outcome in finished:
-                        run.outcomes[outcome.request.request_id] = outcome
-                        if state is not None:
-                            state.completed.add(outcome.request.request_id)
-                            state.flights.pop(outcome.request.request_id,
-                                              None)
+                self._log_finished(replica, replica.step(now), run, state)
                 replica.retire_if_drained(now)
         run.peak = max(run.peak, len(self.active))
 
@@ -574,13 +517,12 @@ class FleetSimulator:
 
     def _log_finished(self, replica: Replica, finished: list[int],
                       run: _RunState, state: _ChaosState | None) -> None:
-        """Record event-engine finishes (ids) in the columnar ledger.
+        """Record finished request ids in the columnar ledger.
 
         Copies each finished request's timeline triple out of the
-        columnar scheduler and releases the id, so every scheduler's
-        live dict stays O(in-flight) over a million-request run.
+        scheduler and releases the id, so every scheduler's live dict
+        stays O(in-flight) over a million-request run.
         """
-        assert run.finished is not None
         scheduler = replica.scheduler
         for request_id in finished:
             first, finish, preempted = scheduler.finished_triple(request_id)
@@ -590,7 +532,7 @@ class FleetSimulator:
                 state.completed.add(request_id)
                 state.flights.pop(request_id, None)
 
-    # -- quiet-tick jumping (event engine) ------------------------------------
+    # -- quiet-tick jumping ---------------------------------------------------
 
     def _next_wake_s(self, run: _RunState) -> float | None:
         """Earliest future instant at which a tick could *act*.
@@ -641,7 +583,7 @@ class FleetSimulator:
         exact), then lets :meth:`run_tick` execute the next tick
         normally.  The jump always stops *short* of the next wake
         instant, so the tick that handles it runs at exactly the clock
-        value the stepped engine would have used, and ``run.now`` is
+        value the every-tick loop would have used, and ``run.now`` is
         advanced by repeated ``+= tick_s`` so float accumulation stays
         bit-identical too.
 
@@ -655,7 +597,7 @@ class FleetSimulator:
         composed steps are not time-peekable).
         """
         run = self._run
-        if run is None or run.finished is None:
+        if run is None:
             return
         if self.autoscaler is not None or run.held:
             return
@@ -706,12 +648,8 @@ class FleetSimulator:
         state = run.chaos
         # Replica clocks may overshoot the final tick; the fleet ends
         # when the last request completes.
-        if run.finished is not None:
-            last_finish = run.finished.max_finish_s()
-            end = run.now if last_finish is None else last_finish
-        else:
-            end = max((o.finish_s for o in run.outcomes.values()),
-                      default=run.now)
+        last_finish = run.finished.max_finish_s()
+        end = run.now if last_finish is None else last_finish
         usages = tuple(
             ReplicaUsage(
                 replica_id=r.replica_id, kind=r.spec.kind,
@@ -723,16 +661,9 @@ class FleetSimulator:
                 prefix_hits=r.scheduler.prefix_hits,
                 prefix_misses=r.scheduler.prefix_misses)
             for r in self.replicas)
-        if run.finished is not None:
-            assert run.table is not None
-            ordered = run.finished.to_outcomes(run.table)
-        else:
-            ordered = tuple(run.outcomes[request.request_id]
-                            for request in sorted(run.requests,
-                                                  key=lambda r: r.request_id)
-                            if request.request_id in run.outcomes)
         report = FleetReport(
-            outcomes=ordered, start_s=run.start, end_s=end, replicas=usages,
+            outcomes=run.finished.to_outcomes(run.table), start_s=run.start,
+            end_s=end, replicas=usages,
             scale_events=tuple(self.autoscaler.events)
             if self.autoscaler else (),
             total_preemptions=sum(r.scheduler.preemptions
@@ -749,22 +680,18 @@ class FleetSimulator:
             ) -> FleetReport:
         """Serve a request stream to completion across the fleet.
 
-        Under the event engine, quiet stretches of the tick grid are
-        jumped (see :meth:`_skip_quiet_ticks`); the report is
-        bit-identical to ticking through them.
+        Quiet stretches of the tick grid are jumped (see
+        :meth:`_skip_quiet_ticks`); the report is bit-identical to
+        ticking through them with :meth:`run_tick`.
 
         Raises:
             ValueError: On an empty stream, or when a request can never
                 fit any replica's KV pool.
         """
         self.begin_run(requests)
-        if self.engine == "event":
-            while self.run_active:
-                self._skip_quiet_ticks()
-                self.run_tick()
-        else:
-            while self.run_active:
-                self.run_tick()
+        while self.run_active:
+            self._skip_quiet_ticks()
+            self.run_tick()
         return self.finish_run()
 
     # -- checkpoint/restore ---------------------------------------------------
@@ -772,9 +699,11 @@ class FleetSimulator:
     def to_state(self) -> dict:
         """Plain-dict snapshot of the whole fleet, mid-run or idle.
 
-        Requests are serialized once (the original stream, in
-        ``run.requests``) and referenced by id from the pending queue,
-        held list, retry heap, and flight table.  Replicas carry their
+        The request stream is serialized once, as columns; the pending
+        arrivals are a head index into its arrival order, and the held
+        list, retry heap and flight table reference requests by id.
+        ``"engine": "event"`` tags the columnar run format (restore
+        refuses any other).  Replicas carry their
         spec fingerprints; restore rebuilds each instance from the
         *host* simulator's specs (selected by the replica's ``origin``)
         and refuses a mismatch, so deployments and price catalogs never
@@ -813,28 +742,14 @@ class FleetSimulator:
                 "now_s": run.now,
                 "peak": run.peak,
                 "chaos": chaos_state,
+                # The arrival order is recomputed on restore.
+                "requests_table": run.table.to_state(),
+                "pending_head": run.pending_head,
+                "held": [request.request_id for request in run.held],
+                "finished": run.finished.to_state(),
             }
-            if run.table is not None:
-                # Event engine: the stream as columns, the arrival
-                # cursor as a head index (the order is recomputed on
-                # restore), and the finish ledger as columns.
-                run_state["requests_table"] = run.table.to_state()
-                run_state["pending_head"] = run.pending_head
-                run_state["held"] = [request.request_id
-                                     for request in run.held]
-                run_state["finished"] = run.finished.to_state()
-            else:
-                run_state["requests"] = [request.to_state()
-                                         for request in run.requests]
-                run_state["pending"] = [request.request_id
-                                        for request in run.pending]
-                run_state["held"] = [request.request_id
-                                     for request in run.held]
-                run_state["outcomes"] = {str(request_id): outcome.to_state()
-                                         for request_id, outcome
-                                         in run.outcomes.items()}
         return {
-            "engine": self.engine,
+            "engine": "event",
             "tick_s": self.tick_s,
             "chaos_armed": self._chaos,
             "initial_replicas": len(self._initial_specs),
@@ -888,11 +803,11 @@ class FleetSimulator:
             raise StateIntegrityError(
                 f"snapshot tick {tick_s:g}s != simulator tick "
                 f"{self.tick_s:g}s")
-        engine = state.get("engine", "stepped")
-        if engine != self.engine:
+        engine = state.get("engine")
+        if engine != "event":
             raise StateIntegrityError(
-                f"snapshot was taken under the {engine!r} engine but this "
-                f"simulator runs {self.engine!r}")
+                f"snapshot engine {engine!r} is not 'event'; only "
+                f"columnar event-run snapshots restore")
         if require(state, "chaos_armed", bool, "$.fleet") != self._chaos:
             raise StateIntegrityError(
                 "snapshot and simulator disagree on whether the chaos "
@@ -914,8 +829,7 @@ class FleetSimulator:
                     f"replica ids not contiguous: slot {index} holds "
                     f"replica {replica_id}")
             spec = self._spec_for_origin(origin, replica_id)
-            replicas.append(Replica.from_state(payload, spec,
-                                               engine=self.engine))
+            replicas.append(Replica.from_state(payload, spec))
         self.replicas = replicas
 
         self.router.from_state(require(state, "router", dict, "$.fleet"))
@@ -933,46 +847,15 @@ class FleetSimulator:
             self.attestation.from_state(attestation_state)
 
         run_state = state.get("run")
-        if run_state is None:
-            self._run = None
-            return
-        if self.engine == "event":
-            self._run = self._event_run_from_state(run_state)
-            return
-        requests = [ServeRequest.from_state(payload) for payload
-                    in require(run_state, "requests", list, "$.fleet.run")]
-        by_id = {request.request_id: request for request in requests}
-
-        def resolve(request_id: object, where: str) -> ServeRequest:
-            if request_id not in by_id:
-                raise StateIntegrityError(
-                    f"{where} references unknown request {request_id!r}")
-            return by_id[request_id]
-
-        chaos = self._chaos_from_state(run_state.get("chaos"), resolve)
-        run = _RunState(
-            requests=requests,
-            pending=[resolve(request_id, "pending queue") for request_id
-                     in require(run_state, "pending", list, "$.fleet.run")],
-            start=require_finite(run_state, "start_s", "$.fleet.run"),
-            now=require_finite(run_state, "now_s", "$.fleet.run"),
-            peak=require(run_state, "peak", int, "$.fleet.run"),
-            chaos=chaos)
-        run.held = [resolve(request_id, "held list") for request_id
-                    in require(run_state, "held", list, "$.fleet.run")]
-        run.outcomes = {int(key): RequestOutcome.from_state(payload)
-                        for key, payload
-                        in require(run_state, "outcomes", dict,
-                                   "$.fleet.run").items()}
-        self._run = run
+        self._run = (None if run_state is None
+                     else self._run_from_state(run_state))
 
     def _chaos_from_state(self, chaos_payload: dict | None,
                           resolve) -> _ChaosState | None:
-        """Rebuild chaos bookkeeping from a snapshot (either engine).
+        """Rebuild chaos bookkeeping from a snapshot.
 
         ``resolve(request_id, where)`` maps a serialized request id
-        back to a request from the run's stream — a dict lookup under
-        the stepped engine, a table row under the event engine.
+        back to a request from the run's stream.
         """
         from ..state.errors import StateIntegrityError
         from ..state.schema import require, require_finite
@@ -1031,8 +914,8 @@ class FleetSimulator:
         self.last_chaos = chaos
         return chaos
 
-    def _event_run_from_state(self, run_state: dict) -> _RunState:
-        """Rebuild an event-engine run from its columnar snapshot."""
+    def _run_from_state(self, run_state: dict) -> _RunState:
+        """Rebuild an armed run from its columnar snapshot."""
         from ..state.errors import StateIntegrityError
         from ..state.schema import require, require_finite
 
@@ -1052,7 +935,7 @@ class FleetSimulator:
             return table.request(row)
 
         chaos = self._chaos_from_state(run_state.get("chaos"), resolve)
-        run = self._arm_event_run(table, chaos)
+        run = _RunState(table, self.tick_s, 0, chaos)
         head = require(run_state, "pending_head", int, "$.fleet.run")
         if not 0 <= head <= len(table):
             raise StateIntegrityError(
@@ -1075,11 +958,10 @@ def fixed_fleet(spec: ReplicaSpec, count: int,
                 faults: FaultSchedule | FaultInjector | None = None,
                 retry_policy: RetryPolicy | None = None,
                 degradation: DegradationPolicy | None = None,
-                engine: str = "stepped",
                 ) -> FleetSimulator:
     """A homogeneous fixed-size fleet (the capacity-planning unit)."""
     if count < 1:
         raise ValueError("count must be >= 1")
     return FleetSimulator([spec] * count, router=router, tick_s=tick_s,
                           faults=faults, retry_policy=retry_policy,
-                          degradation=degradation, engine=engine)
+                          degradation=degradation)

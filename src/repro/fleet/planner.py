@@ -95,7 +95,6 @@ def evaluate_fleet(spec: ReplicaSpec, count: int,
                    faults: FaultSchedule | None = None,
                    retry_policy: RetryPolicy | None = None,
                    degradation: DegradationPolicy | None = None,
-                   engine: str = "stepped",
                    ) -> tuple[CapacityPoint, FleetReport]:
     """Run one fixed fleet against the trace and grade it vs the SLO.
 
@@ -106,7 +105,7 @@ def evaluate_fleet(spec: ReplicaSpec, count: int,
     fleet = fixed_fleet(spec, count, router=router
                         or LeastOutstandingRouter(), tick_s=tick_s,
                         faults=faults, retry_policy=retry_policy,
-                        degradation=degradation, engine=engine)
+                        degradation=degradation)
     report = fleet.run(requests)
     p_ttft = report.ttft_percentile(percentile)
     point = CapacityPoint(
@@ -124,7 +123,6 @@ def capacity_plan(spec: ReplicaSpec, requests: list[ServeRequest],
                   faults: FaultSchedule | None = None,
                   retry_policy: RetryPolicy | None = None,
                   degradation: DegradationPolicy | None = None,
-                  engine: str = "stepped",
                   ) -> CapacityPlan:
     """Grow a fixed fleet until the TTFT percentile clears the SLO.
 
@@ -144,8 +142,7 @@ def capacity_plan(spec: ReplicaSpec, requests: list[ServeRequest],
                                        percentile, max_replicas,
                                        tick_s=tick_s, faults=faults,
                                        retry_policy=retry_policy,
-                                       degradation=degradation,
-                                       engine=engine))
+                                       degradation=degradation))
     needed = next((p.replicas for p in points if p.meets_slo), None)
     return CapacityPlan(kind=spec.kind, slo_ttft_s=slo_ttft_s,
                         percentile=percentile, points=tuple(points),
@@ -158,8 +155,7 @@ def iter_capacity_points(spec: ReplicaSpec, requests: list[ServeRequest],
                          tick_s: float = DEFAULT_TICK_S,
                          faults: FaultSchedule | None = None,
                          retry_policy: RetryPolicy | None = None,
-                         degradation: DegradationPolicy | None = None,
-                         engine: str = "stepped"):
+                         degradation: DegradationPolicy | None = None):
     """Yield :func:`capacity_plan` points one fleet size at a time.
 
     Streams the left-to-right capacity curve, stopping after the first
@@ -171,7 +167,7 @@ def iter_capacity_points(spec: ReplicaSpec, requests: list[ServeRequest],
         point, _ = evaluate_fleet(spec, count, requests, slo_ttft_s,
                                   percentile, tick_s=tick_s, faults=faults,
                                   retry_policy=retry_policy,
-                                  degradation=degradation, engine=engine)
+                                  degradation=degradation)
         yield point
         if point.meets_slo:
             break
@@ -180,10 +176,8 @@ def iter_capacity_points(spec: ReplicaSpec, requests: list[ServeRequest],
 def capacity_sweep(specs: list[ReplicaSpec], requests: list[ServeRequest],
                    slo_ttft_s: float, percentile: float = 99.0,
                    max_replicas: int = 8,
-                   tick_s: float = DEFAULT_TICK_S,
-                   engine: str = "stepped") -> dict[str, CapacityPlan]:
+                   tick_s: float = DEFAULT_TICK_S) -> dict[str, CapacityPlan]:
     """Capacity plans for several replica kinds over one shared trace."""
     return {spec.kind: capacity_plan(spec, requests, slo_ttft_s, percentile,
-                                     max_replicas, tick_s=tick_s,
-                                     engine=engine)
+                                     max_replicas, tick_s=tick_s)
             for spec in specs}

@@ -4,7 +4,7 @@ A :class:`ReplicaSpec` names a rentable configuration — deployment
 (bare metal, TDX, SGX, GPU, cGPU), serving limits, and the hourly
 price from :mod:`repro.cost.pricing`.  A :class:`Replica` is one
 provisioned instance of a spec: it owns a steppable
-:class:`~repro.serving.scheduler.ContinuousBatchingScheduler`, tracks
+:class:`~repro.serving.columnar.ColumnarScheduler`, tracks
 its lifecycle (booting -> live -> draining -> retired), and accrues
 billed uptime from provisioning to retirement — booting and draining
 time is paid for, exactly like a real cloud instance.
@@ -22,17 +22,9 @@ from ..llm.config import LLAMA2_7B, ModelConfig
 from ..llm.datatypes import BFLOAT16, DType
 from ..serving.admission import TenancyConfig
 from ..serving.columnar import ColumnarScheduler
-from ..serving.scheduler import (
-    ContinuousBatchingScheduler,
-    RequestOutcome,
-    ServeRequest,
-)
+from ..serving.scheduler import ServeRequest
 from ..tee.boot import ATTESTING as BOOT_REATTEST_PHASE
 from ..tee.boot import BootProfile, BootSequence
-
-#: Fleet engine names: the original fixed-tick object core and the
-#: event-driven columnar core (see :mod:`repro.fleet.cluster`).
-ENGINES = ("stepped", "event")
 
 #: Replica lifecycle states.
 BOOTING, LIVE, DRAINING, RETIRED = "booting", "live", "draining", "retired"
@@ -93,20 +85,9 @@ class ReplicaSpec:
             return None
         return self.boot.sequence(self.model, self.dtype)
 
-    def build_scheduler(self, engine: str = "stepped",
-                        ) -> ContinuousBatchingScheduler | ColumnarScheduler:
-        """A fresh scheduler configured for one instance of this spec.
-
-        The ``"stepped"`` engine gets the object-per-request
-        :class:`~repro.serving.scheduler.ContinuousBatchingScheduler`;
-        the ``"event"`` engine gets its bit-identical columnar twin.
-        """
-        if engine not in ENGINES:
-            raise ValueError(f"unknown engine {engine!r}; "
-                             f"expected one of {ENGINES}")
-        scheduler_cls = (ColumnarScheduler if engine == "event"
-                         else ContinuousBatchingScheduler)
-        return scheduler_cls(
+    def build_scheduler(self) -> ColumnarScheduler:
+        """A fresh scheduler configured for one instance of this spec."""
+        return ColumnarScheduler(
             self.deployment, self.model, self.dtype,
             kv_capacity_tokens=self.kv_capacity_tokens,
             block_size=self.block_size, max_batch=self.max_batch,
@@ -164,13 +145,11 @@ class Replica:
             scale-up), or ``"spill"`` (degradation spill pool).  Purely
             descriptive at run time; checkpoint restore uses it to find
             the right spec when rebuilding the instance.
-        engine: Which scheduler core the instance runs — ``"stepped"``
-            (object-per-request) or ``"event"`` (columnar twin).
     """
 
     def __init__(self, replica_id: int, spec: ReplicaSpec,
                  provisioned_s: float, boot_latency_s: float,
-                 origin: str = "initial", engine: str = "stepped") -> None:
+                 origin: str = "initial") -> None:
         # NaN passes a plain `< 0` comparison, so finiteness is explicit
         # (same guard the ServeRequest/Workload validators grew).
         if not math.isfinite(boot_latency_s) or boot_latency_s < 0:
@@ -182,7 +161,6 @@ class Replica:
         self.replica_id = replica_id
         self.spec = spec
         self.origin = origin
-        self.engine = engine
         self.provisioned_s = provisioned_s
         #: Phased confidential boot (None on legacy constant-boot specs).
         self.boot = spec.boot_sequence()
@@ -193,7 +171,7 @@ class Replica:
         self.ready_s = provisioned_s + boot_latency_s
         self.retired_s: float | None = None
         self.state = BOOTING if boot_latency_s > 0 else LIVE
-        self.scheduler = spec.build_scheduler(engine)
+        self.scheduler = spec.build_scheduler()
         # An instance cannot serve before it exists.
         self.scheduler.advance_clock_to(self.ready_s if self.state == LIVE
                                         else self.provisioned_s)
@@ -406,12 +384,11 @@ class Replica:
         self.scheduler.submit(request)
         self.requests_routed += 1
 
-    def step(self, until_s: float) -> list[RequestOutcome] | list[int]:
+    def step(self, until_s: float) -> list[int]:
         """Advance the replica's scheduler to the shared-clock horizon.
 
-        Returns outcome objects under the stepped engine and finished
-        request *ids* under the event engine (read timelines from the
-        columnar scheduler via ``finished_triple``).
+        Returns the ids of requests that finished (read their timelines
+        from the scheduler via ``finished_triple``).
         """
         if self._hang_until_s is not None:
             if until_s < self._hang_until_s:
@@ -420,12 +397,8 @@ class Replica:
             self.scheduler.advance_clock_to(self._hang_until_s)
             self._hang_until_s = None
         finished = self.scheduler.step(until_s)
-        if self.engine == "event":
-            for request_id in finished:
-                self.tokens_out += self.scheduler.output_tokens(request_id)
-        else:
-            for outcome in finished:
-                self.tokens_out += outcome.request.output_tokens
+        for request_id in finished:
+            self.tokens_out += self.scheduler.output_tokens(request_id)
         return finished
 
     # -- accounting -----------------------------------------------------------
@@ -511,8 +484,7 @@ class Replica:
         }
 
     @classmethod
-    def from_state(cls, state: dict, spec: ReplicaSpec,
-                   engine: str = "stepped") -> "Replica":
+    def from_state(cls, state: dict, spec: ReplicaSpec) -> "Replica":
         """Rebuild an instance of ``spec`` from a :meth:`to_state` dict.
 
         Raises:
@@ -530,7 +502,6 @@ class Replica:
             boot_latency_s=require_finite(state, "boot_latency_s",
                                           "$.replica", minimum=0.0),
             origin=require(state, "origin", str, "$.replica"),
-            engine=engine,
         )
         recorded = require(state, "spec", dict, "$.replica")
         mine = replica.spec_fingerprint()

@@ -3,8 +3,8 @@
 Before this helper existed, :mod:`repro.fleet.cluster` open-coded the
 same ``heapq`` triple ``(due_s, request_id, request)`` in three places
 — requeueing failed attempts, draining due retries each tick, and
-shedding the queue when the fleet goes unroutable.  The event-driven
-engine adds a fourth consumer (the quiet-tick skipper needs to *peek*
+shedding the queue when the fleet goes unroutable.  Quiet-tick
+jumping adds a fourth consumer (the quiet-tick skipper needs to *peek*
 the next due time), which made the duplication a liability: one class
 now owns the ordering invariant.
 

@@ -1,10 +1,9 @@
-"""Columnar request streams and outcome ledgers for the event engine.
+"""Columnar request streams and outcome ledgers for the fleet core.
 
 A million-request fleet run cannot afford a million
 :class:`~repro.serving.scheduler.ServeRequest` /
-:class:`~repro.serving.scheduler.RequestOutcome` objects plus the
-O(n)-per-tick list surgery the object path does.  This module holds the
-three columnar twins the event-driven core runs on instead:
+:class:`~repro.serving.scheduler.RequestOutcome` objects.  This module
+holds the three columnar containers the fleet core runs on instead:
 
 * :class:`RequestTable` — the request stream as numpy columns (arrival,
   prompt, output, priority, id).  The seeded generators fill the
@@ -20,9 +19,8 @@ three columnar twins the event-driven core runs on instead:
   feed the vectorized percentile/SLO math in
   :mod:`repro.fleet.report`.
 
-Everything here is a container; the parity contract (event reports are
-bit-identical to stepped reports) is pinned by the
-``fleet.event_core_parity`` audit checks.
+Everything here is a container; the ``fleet.event_core_parity`` audit
+checks pin that a run fed a table equals one fed the value-equal list.
 """
 
 from __future__ import annotations
@@ -120,7 +118,7 @@ class RequestTable(Sequence):
     def arrival_order(self) -> np.ndarray:
         """Row indices sorted by (arrival_s, request_id).
 
-        The exact order the stepped engine's
+        The order
         ``sorted(requests, key=lambda r: (r.arrival_s, r.request_id))``
         produces — lexsort's last key is primary.
         """
@@ -253,8 +251,8 @@ def make_arrival_table(kind: str, count: int, rate_per_s: float,
 class ColumnarOutcomes(Sequence):
     """Completed-request records as columns, in request-id order.
 
-    Drop-in for the ``tuple[RequestOutcome, ...]`` a stepped-engine
-    :class:`~repro.fleet.report.FleetReport` carries: iteration and
+    The outcome sequence a :class:`~repro.fleet.report.FleetReport`
+    carries: iteration and
     indexing materialize value-equal :class:`RequestOutcome` objects on
     demand, while the report's aggregate math reads the raw columns.
     """
@@ -311,11 +309,10 @@ class ColumnarOutcomes(Sequence):
 
 
 class OutcomeLog:
-    """Append-only finish ledger the event engine fills as requests end.
+    """Append-only finish ledger the fleet fills as requests end.
 
-    One ``record`` per completed request, in completion order; the
-    stepped engine's ``dict[id, RequestOutcome]`` collapses to four
-    flat arrays.  :meth:`to_outcomes` joins the ledger back against the
+    One ``record`` per completed request, in completion order, kept as
+    four flat arrays.  :meth:`to_outcomes` joins the ledger back against the
     request stream into the request-id-ordered view reports expect.
     """
 

@@ -7,7 +7,6 @@ from .admission import (
 )
 from .columnar import ColumnarScheduler
 from .scheduler import (
-    ContinuousBatchingScheduler,
     RequestOutcome,
     ServeRequest,
     ServingReport,
@@ -16,8 +15,8 @@ from .scheduler import (
 from .stepcost import StepCostTable
 
 __all__ = [
-    "ADMISSION_POLICIES", "ColumnarScheduler",
-    "ContinuousBatchingScheduler", "KV_ISOLATION_MODES", "RequestOutcome",
+    "ADMISSION_POLICIES", "ColumnarScheduler", "KV_ISOLATION_MODES",
+    "RequestOutcome",
     "ServeRequest", "ServingReport", "StepCostTable", "TenancyConfig",
     "poisson_stream",
 ]

@@ -1,8 +1,8 @@
 """Multi-tenant admission and KV-isolation policy configuration.
 
 :class:`TenancyConfig` is the single value object that arms tenancy in
-both scheduler engines (:mod:`repro.serving.scheduler` and
-:mod:`repro.serving.columnar`).  It lives in the serving layer — not in
+the scheduler (:mod:`repro.serving.columnar`) and its reference oracle
+(:mod:`repro.validate.oracle`).  It lives in the serving layer — not in
 :mod:`repro.tenancy` — because the schedulers must consume it without
 importing the higher tenancy plane (tenancy -> fleet -> serving is the
 only allowed direction).

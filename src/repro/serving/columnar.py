@@ -1,37 +1,56 @@
-"""Columnar continuous-batching scheduler (the event core's replica engine).
+"""Continuous-batching serving simulation over columnar request state.
 
-A bit-exact twin of
-:class:`~repro.serving.scheduler.ContinuousBatchingScheduler` that
-stores request state in parallel columns keyed by submission slot
-instead of per-request ``ServeRequest``/``RequestOutcome`` objects:
+The paper's GPU experiments run vLLM, whose scheduler forms decode
+batches dynamically from an arriving request stream and manages KV
+memory in pages, preempting (and recomputing) requests when blocks run
+out.  :class:`ColumnarScheduler` implements that serving loop; step
+durations come from the same TEE-aware cost model as every other
+experiment (via the shared :class:`~repro.serving.stepcost.StepCostTable`),
+so serving SLAs (TTFT, end-to-end latency) can be compared across bare
+metal, TDX, and (c)GPU deployments.  Request state lives in parallel
+columns keyed by submission slot instead of per-request objects:
 
 * arrival / prompt / output / priority / first-token / finish /
   preemption-count live in append-only ``array`` columns,
 * the running batch is a set of parallel Python lists (ids, prompts,
   generated counts, held KV blocks),
 * the paged KV cache collapses to block *counts* (a free counter plus
-  per-sequence held counts) — block identities never influence the
-  object scheduler's behavior, only availability does.
+  per-sequence held counts) — block identities never influence
+  scheduling, only availability does.
+
+The scheduler is *incrementally steppable*: the fleet simulator
+(:mod:`repro.fleet`) drives many replicas against a shared clock via
+:meth:`~ColumnarScheduler.submit` and :meth:`~ColumnarScheduler.step`,
+while :meth:`~ColumnarScheduler.run` is the single-replica
+run-to-completion entry point.  :meth:`step` returns finished request
+*ids*; the fleet reads their timelines via :meth:`finished_triple` and
+materializes outcome objects only on demand.
 
 Every float operation (prefill/decode charging, clock advancement,
 preemption cascade order, admission lookahead scan) transcribes the
-object scheduler exactly, and step durations come from the shared
-:class:`~repro.serving.stepcost.StepCostTable`, so per-request
-timelines are **bit-identical** — pinned by the
-``fleet.event_core_parity`` audit family and the serving-level parity
-tests.  The payoff is constant factors: no object allocation per
-request, no exception-driven KV probing, and O(in-flight) live dict
-state, which is what lets the fleet's event engine push ≥1M requests
-through a single run.
+frozen object-per-request oracle in :mod:`repro.validate.oracle`, which
+allocates real KV blocks; per-request timelines are **bit-identical**
+to it, pinned by the ``serving.columnar_reference_parity`` audit check.
 
-API differences from the object scheduler (both deliberate):
+Admission policy (head-of-line).  By default admission is strict FCFS:
+the admission loop stops on the first queued request whose KV
+allocation fails, even if a *smaller* request queued behind it would
+fit — exactly vLLM's default behavior, which trades utilization for
+no-starvation.  Passing ``admission_lookahead=k`` relaxes this: after a
+head-of-line allocation failure the scheduler scans up to ``k`` further
+already-arrived requests and admits the first that fits (bounded
+out-of-order admission; the head request keeps its queue position).
 
-* :meth:`step` returns finished request *ids*, not outcome objects —
-  the fleet event core reads the timeline columns directly via
-  :meth:`finished_triple` and materializes objects only on demand.
-* :meth:`to_state` uses a columnar-native schema and the config
-  fingerprint carries ``"engine": "columnar"``, so snapshots never
-  restore across engines.
+Multi-tenancy.  Passing a :class:`~repro.serving.admission.TenancyConfig`
+arms per-tenant policy: weighted-fair-queueing admission (SCFQ virtual
+finish tags; see :mod:`repro.serving.admission`) and per-tenant KV
+isolation (hard partition via admission-time worst-case reservation, or
+cross-request shared-prefix pinning with hit/miss accounting).  With no
+config the scheduler executes the exact pre-tenancy instruction
+sequence.
+
+Snapshots (:meth:`to_state`) use a columnar schema whose config
+fingerprint carries ``"engine": "columnar"``.
 """
 
 from __future__ import annotations
@@ -51,12 +70,24 @@ from .stepcost import StepCostTable
 class ColumnarScheduler:
     """vLLM-style continuous batching over columnar request state.
 
-    Constructor arguments match
-    :class:`~repro.serving.scheduler.ContinuousBatchingScheduler`
-    exactly; see that class for the scheduling policy (strict-FCFS
-    admission with optional bounded lookahead, preempt-youngest with
-    full recompute, optional :class:`TenancyConfig` arming WFQ
-    admission and per-tenant KV isolation).
+    A state machine over (waiting, running, clock): :meth:`submit`
+    enqueues requests, :meth:`step` advances the admission/decode/
+    preemption loop up to a time horizon (the fleet simulator's
+    shared-clock contract), and :meth:`run` serves a whole stream to
+    completion in one call.
+
+    Args:
+        deployment: Where the model serves (any backend).
+        model: Served architecture.
+        dtype: Serving datatype.
+        kv_capacity_tokens: Total KV pool size in tokens.
+        block_size: Paged-KV block granularity in tokens.
+        max_batch: Scheduler cap on concurrent sequences.
+        admission_lookahead: How many queued, already-arrived requests
+            to scan past a head-of-line KV-allocation failure (0 =
+            strict FCFS, the vLLM default; see module docstring).
+        tenancy: Optional multi-tenant policy (WFQ admission and/or KV
+            isolation); ``None`` keeps the pre-tenancy behavior exactly.
     """
 
     def __init__(self, deployment: Deployment, model: ModelConfig,
@@ -99,8 +130,7 @@ class ColumnarScheduler:
         # Waiting queue: (arrival_s, request_id) tuples under FCFS,
         # (wfq_tag, arrival_s, request_id) under WFQ — either way the
         # request id is entry[-1] and the arrival entry[-2].  Sorted,
-        # except that FCFS preemptions re-enter at the head, as in the
-        # object twin.
+        # except that FCFS preemptions re-enter at the head.
         self._waiting: list[tuple] = []
         # Running batch as parallel lists.  ``_run_kvlen`` is the KV
         # length the sequence was admitted with — the prompt, or just
@@ -121,7 +151,7 @@ class ColumnarScheduler:
         self._occ_count = 0
         self._first_arrival: float | None = None
         # Tenancy runtime state (inert when unarmed); mirrors the
-        # object scheduler field-for-field.
+        # reference oracle field-for-field.
         self._wfq_v = 0.0
         self._wfq_fin: dict[int, float] = {}
         self._wfq_tag: dict[int, float] = {}
@@ -137,7 +167,7 @@ class ColumnarScheduler:
             self._tenant_budget_cap = {}
             self._tenant_budget = {}
 
-    # -- introspection (object-scheduler-compatible surface) ------------------
+    # -- introspection --------------------------------------------------------
 
     @property
     def clock_s(self) -> float:
@@ -170,7 +200,12 @@ class ColumnarScheduler:
         return self._preemptions
 
     def advance_clock_to(self, now_s: float) -> None:
-        """Move the local clock forward to ``now_s`` (never backward)."""
+        """Move the local clock forward to ``now_s`` (never backward).
+
+        The fleet uses this to floor a freshly booted replica's clock at
+        its readiness time so held-back requests cannot be served in
+        the past (and to skip a hung replica's stall window).
+        """
         if math.isfinite(now_s):
             self._clock = max(self._clock, now_s)
 
@@ -181,6 +216,11 @@ class ColumnarScheduler:
 
     @time_scale.setter
     def time_scale(self, scale: float) -> None:
+        """Set the step-duration multiplier (fault-injection hook).
+
+        A degraded replica (``repro.faults`` slowdown or interconnect
+        cut) runs every prefill/decode step ``scale`` times slower.
+        """
         if not math.isfinite(scale) or scale <= 0:
             raise ValueError("time_scale must be finite and positive")
         self._time_scale = scale
@@ -218,7 +258,7 @@ class ColumnarScheduler:
     def release(self, request_id: int) -> None:
         """Drop the live record of a *finished* request.
 
-        The fleet event core copies the timeline triple into its own
+        The fleet simulator copies the timeline triple into its own
         columns as finishes surface, then releases the id here so the
         scheduler's live dict stays O(in-flight) over a 1M-request run.
         The append-only columns retain the slot (cheap: a few plain
@@ -270,7 +310,8 @@ class ColumnarScheduler:
         self._col_preempt.append(0)
         self._slot[request.request_id] = slot
         if self._wfq:
-            # SCFQ tag, transcribed from the object twin float-for-float.
+            # SCFQ tag: chain on the tenant's previous virtual finish,
+            # floored at the global virtual clock.
             start = max(self._wfq_fin.get(request.tenant_id, 0.0),
                         self._wfq_v)
             tag = start + ((request.prompt_tokens + request.output_tokens)
@@ -433,12 +474,12 @@ class ColumnarScheduler:
         self._ctx_total += prompt
 
     def _kv_admit(self, rid: int, slot: int) -> tuple[int, int] | None:
-        """Columnar twin of the object scheduler's ``_kv_allocate``.
+        """Allocate KV blocks for an admitted request per isolation mode.
 
         Returns ``(blocks_taken, kvlen)`` on success (the free counter
         already debited), or ``None`` if the request does not fit right
-        now — the same decisions, in the same order, as the object
-        engine's cache-backed path.
+        now — the same decisions, in the same order, as the oracle's
+        cache-backed ``_kv_allocate``.
         """
         block_size = self.block_size
         prompt = self._col_prompt[slot]
@@ -518,9 +559,12 @@ class ColumnarScheduler:
     def _admit_wfq(self) -> None:
         """WFQ admission: serve arrived requests in virtual-finish order.
 
-        Transcribes the object scheduler's ``_admit_wfq`` — scan for
-        the first arrived entry in tag order, bounded lookahead over
-        further *arrived* candidates on its allocation failure.
+        The queue is tag-ordered, not arrival-ordered, so the head may
+        not have arrived yet while a later entry has; the scan skips
+        unarrived entries (they cost no lookahead budget) and treats the
+        first arrived entry as the head of line.  On its allocation
+        failure, ``admission_lookahead`` further *arrived* candidates
+        are tried, exactly mirroring the FCFS window.
         """
         waiting = self._waiting
         while waiting and len(self._run_ids) < self.max_batch:
@@ -641,9 +685,8 @@ class ColumnarScheduler:
         results: list[int] = []
         for index, rid in finished:
             if index >= len(run_ids) or run_ids[index] != rid:
-                # The object twin would crash here too (double-free on a
-                # preempted-after-finish entry); it cannot arise because
-                # a finished entry holds its blocks until this cleanup.
+                # Cannot arise: a finished entry holds its blocks until
+                # this cleanup, so no later preemption can pick it.
                 raise RuntimeError("finished entry vanished mid-step")
             slot = self._run_slot[index]
             self._col_finish[slot] = self._clock
@@ -658,10 +701,16 @@ class ColumnarScheduler:
     def step(self, until_s: float | None = None) -> list[int]:
         """Advance the serving loop up to a time horizon.
 
-        Identical semantics to the object scheduler's ``step`` — the
-        clock may overshoot ``until_s`` by one non-preemptible step —
-        but returns the *ids* of requests that finished during this
-        call (read their timelines via :meth:`finished_triple`).
+        Repeats admission/decode iterations while work exists and the
+        local clock is below ``until_s`` (``None`` = run to completion).
+        A decode or prefill step in flight at the horizon completes —
+        steps are not preemptible — so the clock may end slightly past
+        ``until_s``.  When the replica is idle, the clock jumps to the
+        next arrival but never past the horizon.
+
+        Returns:
+            Ids of requests that finished during this call (read their
+            timelines via :meth:`finished_triple`).
         """
         finished: list[int] = []
         while self._waiting or self._run_ids:
@@ -694,7 +743,10 @@ class ColumnarScheduler:
         """Aggregate metrics of everything served so far.
 
         Materializes transient :class:`RequestOutcome` objects from the
-        columns (value-equal to the object scheduler's records).
+        columns, in submission order.
+
+        Raises:
+            ValueError: If nothing was ever submitted.
         """
         outcomes = tuple(
             RequestOutcome(request=self._request_at(slot),
@@ -715,15 +767,20 @@ class ColumnarScheduler:
                              start_s=start)
 
     def run(self, requests: list[ServeRequest]) -> ServingReport:
-        """Serve a request stream to completion (single-replica mode)."""
+        """Serve a request stream to completion (single-replica mode).
+
+        Raises:
+            ValueError: If any single request cannot ever fit the KV pool.
+        """
         if not requests:
             raise ValueError("no requests")
         for request in requests:
             self._check_fits(request)
         self._reset()
         if self._wfq:
-            # WFQ tags chain per tenant in submission order; submit in
-            # arrival order exactly as the object twin's run() does.
+            # WFQ tags chain per tenant in submission order, so the
+            # stream is submitted in arrival order (the order the fleet
+            # would deliver it).
             ordered = sorted(requests,
                              key=lambda r: (r.arrival_s, r.request_id))
         else:
@@ -741,9 +798,9 @@ class ColumnarScheduler:
     def config_fingerprint(self) -> dict:
         """Configuration identity, for restore checks.
 
-        Carries ``"engine": "columnar"`` on top of the object
-        scheduler's keys so a snapshot taken under one engine refuses
-        to restore under the other (their runtime schemas differ).
+        Carries ``"engine": "columnar"`` so a scheduler payload written
+        by the retired object-per-request schema (no such key) refuses
+        to restore here.
         """
         fingerprint = {
             "engine": "columnar",

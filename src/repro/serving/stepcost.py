@@ -1,13 +1,12 @@
 """Shared, memoized step-duration table for serving schedulers.
 
-Both serving cores — the object-per-request
-:class:`~repro.serving.scheduler.ContinuousBatchingScheduler` and the
-columnar :class:`~repro.serving.columnar.ColumnarScheduler` — must
-charge *bit-identical* durations for the same (batch, context) decode
-step and the same prompt prefill, or the event/stepped fleet parity
-contract breaks.  Extracting the computation (and its memo keys) into
-one class makes that equivalence structural instead of accidental:
-there is exactly one code path that turns a step shape into seconds.
+The production :class:`~repro.serving.columnar.ColumnarScheduler` and
+the frozen reference oracle in :mod:`repro.validate.oracle` must charge
+*bit-identical* durations for the same (batch, context) decode step and
+the same prompt prefill, or the differential parity checks between
+them break.  Extracting the computation (and its memo keys) into one
+class makes that equivalence structural instead of accidental: there
+is exactly one code path that turns a step shape into seconds.
 
 The numbers themselves are unchanged from the original in-scheduler
 helpers: decode contexts are bucketed to 64-token multiples (floored at

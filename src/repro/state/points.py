@@ -157,8 +157,7 @@ def run_attest_tax_point(params: dict, context: PointContext) -> dict:
     return attest_tax_row(
         require(params, "kind", str, "$.params"),
         require(params, "scenario", str, "$.params"),
-        require_finite(params, "slo_ttft_s", "$.params", minimum=1e-12),
-        engine=require(params, "engine", str, "$.params"))
+        require_finite(params, "slo_ttft_s", "$.params", minimum=1e-12))
 
 
 def chaos_grid(kinds: tuple[str, ...] | None = None,
@@ -228,7 +227,7 @@ def capacity_grid(kinds: tuple[str, ...] = ("tdx", "cgpu"),
 
 def attest_grid(kinds: tuple[str, ...] | None = None,
                 scenarios: tuple[str, ...] = ("capacity", "chaos"),
-                slo_ttft_s: float = 2.0, engine: str = "stepped",
+                slo_ttft_s: float = 2.0,
                 point_timeout_s: float | None = None) -> SweepSpec:
     """The attestation-tax table as a resumable SweepSpec.
 
@@ -246,7 +245,7 @@ def attest_grid(kinds: tuple[str, ...] | None = None,
                 index=len(points), key=f"{kind}/{scenario}",
                 runner="attest_tax",
                 params={"kind": kind, "scenario": scenario,
-                        "slo_ttft_s": slo_ttft_s, "engine": engine},
+                        "slo_ttft_s": slo_ttft_s},
                 group=kind))
     return SweepSpec(points=tuple(points),
                      point_timeout_s=point_timeout_s)

@@ -23,8 +23,8 @@ priced phase::
 
 Everything is a pure function of the profile and the model bytes — no
 randomness, no clocks — so phased boots keep fleet runs bit-
-reproducible and both fleet engines (stepped and ``engine="event"``)
-agree by construction.  A spec with no profile keeps the legacy
+reproducible, and a run that jumps quiet ticks agrees with one that
+ticks through them by construction.  A spec with no profile keeps the legacy
 constant path untouched; :func:`constant_profile` expresses any legacy
 constant as a degenerate single-phase sequence for differential
 testing (``attest.legacy_constant_parity``).
@@ -327,7 +327,7 @@ def boot_breakdown(kinds: tuple[str, ...] = TAX_TEE_KINDS,
     return rows
 
 
-def _tax_fleet(kind: str, phased: bool, scenario: str, engine: str):
+def _tax_fleet(kind: str, phased: bool, scenario: str):
     """Build one scenario fleet, phased or legacy-instant boots."""
     from ..faults.resilience import RetryPolicy
     from ..faults.schedule import mtbf_schedule
@@ -338,33 +338,27 @@ def _tax_fleet(kind: str, phased: bool, scenario: str, engine: str):
     spec = replica_spec(kind, max_batch=16, kv_capacity_tokens=65536,
                         boot=boot)
     if scenario == "capacity":
-        return fixed_fleet(spec, CAPACITY_PLAN_REPLICAS[kind], engine=engine)
+        return fixed_fleet(spec, CAPACITY_PLAN_REPLICAS[kind])
     if scenario != "chaos":
         raise ValueError(f"unknown attest-tax scenario {scenario!r}")
     schedule = mtbf_schedule([0], mtbf_s=12.0, horizon_s=40.0, seed=7)
     retry = RetryPolicy(timeout_s=20.0, max_attempts=4, seed=7)
-    return fixed_fleet(spec, 1, faults=schedule, retry_policy=retry,
-                       engine=engine)
+    return fixed_fleet(spec, 1, faults=schedule, retry_policy=retry)
 
 
-def _tax_stream(scenario: str, engine: str):
+def _tax_stream(scenario: str):
     """The scenario's request stream (headline traces, seeded)."""
     from ..fleet.arrivals import poisson_arrivals, trace_replay
     from ..validate.fleet import CAPACITY_TRACE
 
     if scenario == "capacity":
-        requests = trace_replay(list(CAPACITY_TRACE))
-    else:
-        requests = poisson_arrivals(36, rate_per_s=1.5, mean_prompt=128,
-                                    mean_output=64, seed=7)
-    if engine == "event":
-        from ..fleet.table import RequestTable
-        return RequestTable.from_requests(requests)
-    return requests
+        return trace_replay(list(CAPACITY_TRACE))
+    return poisson_arrivals(36, rate_per_s=1.5, mean_prompt=128,
+                            mean_output=64, seed=7)
 
 
-def attest_tax_row(kind: str, scenario: str, slo_ttft_s: float = 2.0,
-                   engine: str = "stepped") -> dict:
+def attest_tax_row(kind: str, scenario: str,
+                   slo_ttft_s: float = 2.0) -> dict:
     """One (kind, scenario) cell: legacy vs phased boots, same stream.
 
     The *tax* columns are the deltas a phased confidential boot adds
@@ -373,10 +367,8 @@ def attest_tax_row(kind: str, scenario: str, slo_ttft_s: float = 2.0,
     """
     sequence = boot_profile(kind).sequence(
         *_served_model(kind))
-    legacy = _tax_fleet(kind, False, scenario, engine).run(
-        _tax_stream(scenario, engine))
-    phased = _tax_fleet(kind, True, scenario, engine).run(
-        _tax_stream(scenario, engine))
+    legacy = _tax_fleet(kind, False, scenario).run(_tax_stream(scenario))
+    phased = _tax_fleet(kind, True, scenario).run(_tax_stream(scenario))
     return {
         "kind": kind,
         "scenario": scenario,
@@ -404,12 +396,11 @@ def _served_model(kind: str):
 
 def attest_tax_sweep(kinds: tuple[str, ...] = TAX_FLEET_KINDS,
                      scenarios: tuple[str, ...] = ("capacity", "chaos"),
-                     slo_ttft_s: float = 2.0,
-                     engine: str = "stepped") -> list[dict]:
+                     slo_ttft_s: float = 2.0) -> list[dict]:
     """The attestation-tax table: every (kind, scenario) cell.
 
     Deterministic and seeded end to end; the ``golden.attest_tax``
     audit check snapshots this series.
     """
-    return [attest_tax_row(kind, scenario, slo_ttft_s, engine)
+    return [attest_tax_row(kind, scenario, slo_ttft_s)
             for scenario in scenarios for kind in kinds]

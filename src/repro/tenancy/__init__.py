@@ -7,8 +7,8 @@ each tenant pays: tenant populations with heavy-tailed mixes
 (:mod:`repro.tenancy.report`), and one-call fleet runs plus the
 noisy-neighbor interference metric (:mod:`repro.tenancy.simulate`).
 The underlying admission and KV-isolation policies live in
-:mod:`repro.serving.admission` so both scheduler engines can consume
-them directly.
+:mod:`repro.serving.admission` so the scheduler (and its reference
+oracle) can consume them without importing this package.
 """
 
 from .billing import partition_bill_cents

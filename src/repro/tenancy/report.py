@@ -5,11 +5,8 @@
 :class:`TenantUsage` rows — latency percentiles against each tenant's
 own SLO, shed counts, and an integer-cent invoice that exactly
 partitions the fleet bill (:mod:`repro.tenancy.billing`).  The split
-is engine-agnostic and bit-identical: stepped-engine reports walk
-:class:`~repro.serving.scheduler.RequestOutcome` objects with the
-scalar percentile, event-engine reports mask the
-:class:`~repro.fleet.table.ColumnarOutcomes` columns and use the
-vectorized twin — the same doubles either way.
+masks the report's :class:`~repro.fleet.table.ColumnarOutcomes`
+columns per tenant and grades them with the vectorized percentile.
 """
 
 from __future__ import annotations
@@ -20,7 +17,6 @@ import numpy as np
 
 from ..fleet.report import FleetReport, _percentile_array
 from ..fleet.table import ColumnarOutcomes
-from ..serving.scheduler import _percentile
 from .billing import partition_bill_cents
 from .population import TenantPopulation
 
@@ -141,42 +137,21 @@ def _columnar_slices(outcomes: ColumnarOutcomes, tenant_id: int) -> dict:
     }
 
 
-def _object_slices(outcomes, tenant_id: int) -> dict:
-    mine = [o for o in outcomes if o.request.tenant_id == tenant_id]
-    if not mine:
-        return {"requests": 0, "tokens_out": 0, "preemptions": 0,
-                "ttft": None, "e2e": None}
-    return {
-        "requests": len(mine),
-        "tokens_out": sum(o.request.output_tokens for o in mine),
-        "preemptions": sum(o.preemptions for o in mine),
-        "ttft": [o.ttft_s for o in mine],
-        "e2e": [o.e2e_s for o in mine],
-    }
-
-
 def tenant_breakdown(report: FleetReport,
                      population: TenantPopulation) -> TenancyReport:
     """Split a fleet report into per-tenant usage rows.
 
     The invoice column partitions ``report.cost_usd`` exactly (integer
-    cents, largest-remainder over good tokens); percentile math uses
-    the scalar/vectorized twins so stepped and event reports break down
-    bit-identically.
+    cents, largest-remainder over good tokens).
     """
-    columnar = isinstance(report.outcomes, ColumnarOutcomes)
     shed_by_tenant: dict[int, int] = {}
     for shed in report.shed:
         shed_by_tenant[shed.request.tenant_id] = (
             shed_by_tenant.get(shed.request.tenant_id, 0) + 1)
-    slices = {}
-    for spec in sorted(population.tenants, key=lambda s: s.tenant_id):
-        if columnar:
-            slices[spec.tenant_id] = _columnar_slices(report.outcomes,
-                                                      spec.tenant_id)
-        else:
-            slices[spec.tenant_id] = _object_slices(report.outcomes,
-                                                    spec.tenant_id)
+    slices = {spec.tenant_id: _columnar_slices(report.outcomes,
+                                               spec.tenant_id)
+              for spec in sorted(population.tenants,
+                                 key=lambda s: s.tenant_id)}
     invoices = partition_bill_cents(
         report.cost_usd,
         {tenant_id: data["tokens_out"]
@@ -187,17 +162,10 @@ def tenant_breakdown(report: FleetReport,
         shed = shed_by_tenant.get(spec.tenant_id, 0)
         ttft_p50 = ttft_p99 = e2e_p99 = attainment = None
         if data["requests"]:
-            if columnar:
-                ttft_p50 = _percentile_array(data["ttft"], 50)
-                ttft_p99 = _percentile_array(data["ttft"], 99)
-                e2e_p99 = _percentile_array(data["e2e"], 99)
-                met = int(np.count_nonzero(data["ttft"] <= spec.slo_ttft_s))
-            else:
-                ttft_p50 = _percentile(data["ttft"], 50)
-                ttft_p99 = _percentile(data["ttft"], 99)
-                e2e_p99 = _percentile(data["e2e"], 99)
-                met = sum(1 for value in data["ttft"]
-                          if value <= spec.slo_ttft_s)
+            ttft_p50 = _percentile_array(data["ttft"], 50)
+            ttft_p99 = _percentile_array(data["ttft"], 99)
+            e2e_p99 = _percentile_array(data["e2e"], 99)
+            met = int(np.count_nonzero(data["ttft"] <= spec.slo_ttft_s))
             attainment = met / (data["requests"] + shed)
         elif shed:
             attainment = 0.0

@@ -4,8 +4,7 @@
 .TenantPopulation` through the whole stack: it builds the population's
 :class:`~repro.serving.admission.TenancyConfig`, arms it on a priced
 :class:`~repro.fleet.replica.ReplicaSpec`, runs the fleet on the
-requested engine (stepped engines consume the object stream, event
-engines the bit-identical columnar table), and returns the per-tenant
+population's columnar request table, and returns the per-tenant
 :class:`~repro.tenancy.report.TenancyReport`.
 
 :func:`noisy_neighbor_inflation` is the interference metric the
@@ -29,7 +28,6 @@ from .report import TenancyReport, tenant_breakdown
 def run_tenant_fleet(population: TenantPopulation,
                      kind: str = "tdx",
                      count: int = 2,
-                     engine: str = "stepped",
                      admission: str = "wfq",
                      kv_isolation: str = "shared",
                      tick_s: float = DEFAULT_TICK_S,
@@ -43,7 +41,6 @@ def run_tenant_fleet(population: TenantPopulation,
         population: Who shares the fleet.
         kind: Replica kind (``tdx``, ``cgpu``, ...).
         count: Fixed fleet size.
-        engine: ``stepped`` or ``event`` (bit-identical reports).
         admission: ``fcfs`` or ``wfq`` (population weights apply).
         kv_isolation: ``shared``, ``partition``, or ``shared-prefix``.
         tick_s: Fleet tick.
@@ -56,31 +53,26 @@ def run_tenant_fleet(population: TenantPopulation,
     tenancy = population.tenancy_config(admission=admission,
                                         kv_isolation=kv_isolation)
     spec = replica_spec(kind, tenancy=tenancy, **spec_overrides)
-    return run_on_spec(population, spec, count=count, engine=engine,
-                       tick_s=tick_s, faults=faults,
-                       retry_policy=retry_policy, degradation=degradation)
+    return run_on_spec(population, spec, count=count, tick_s=tick_s,
+                       faults=faults, retry_policy=retry_policy,
+                       degradation=degradation)
 
 
 def run_on_spec(population: TenantPopulation, spec: ReplicaSpec,
-                count: int = 2, engine: str = "stepped",
-                tick_s: float = DEFAULT_TICK_S,
+                count: int = 2, tick_s: float = DEFAULT_TICK_S,
                 faults: FaultSchedule | FaultInjector | None = None,
                 retry_policy: RetryPolicy | None = None,
                 degradation: DegradationPolicy | None = None,
                 ) -> TenancyReport:
     """Run a population on an explicit (already-armed) spec."""
     fleet = fixed_fleet(spec, count, tick_s=tick_s, faults=faults,
-                        retry_policy=retry_policy, degradation=degradation,
-                        engine=engine)
-    requests = (population.table() if engine == "event"
-                else population.stream())
-    report = fleet.run(requests)
+                        retry_policy=retry_policy, degradation=degradation)
+    report = fleet.run(population.table())
     return tenant_breakdown(report, population)
 
 
 def noisy_neighbor_inflation(population: TenantPopulation,
                              kind: str = "tdx", count: int = 2,
-                             engine: str = "stepped",
                              admission: str = "wfq",
                              kv_isolation: str = "shared",
                              **spec_overrides: object,
@@ -94,14 +86,13 @@ def noisy_neighbor_inflation(population: TenantPopulation,
     marks tenants that completed no requests in either run.
     """
     shared = run_tenant_fleet(population, kind=kind, count=count,
-                              engine=engine, admission=admission,
+                              admission=admission,
                               kv_isolation=kv_isolation, **spec_overrides)
     inflation: dict[int, float | None] = {}
     for tenant_id in population.tenant_ids:
         shared_p99 = shared.usage_of(tenant_id).ttft_p99_s
         solo = run_tenant_fleet(population.solo(tenant_id), kind=kind,
-                                count=count, engine=engine,
-                                admission=admission,
+                                count=count, admission=admission,
                                 kv_isolation=kv_isolation, **spec_overrides)
         solo_p99 = solo.usage_of(tenant_id).ttft_p99_s
         if shared_p99 is None or solo_p99 is None or solo_p99 <= 0:

@@ -5,7 +5,8 @@ A registry of named checks (``@check``) spanning four families:
 * **differential** — fast paths against reference twins (vectorized vs
   loop engine, memoized vs cold caches, parallel vs serial sweeps,
   analytical FLOPs vs the numpy reference transformer, closed forms vs
-  the functional TLB/EPC simulators),
+  the functional TLB/EPC simulators, the columnar serving scheduler vs
+  the frozen object-per-request oracle in :mod:`.oracle`),
 * **metamorphic** — monotonicity and ordering invariants the cost model
   must satisfy everywhere (TEE never faster, cost non-decreasing in
   context/batch, scheduler/KV-block conservation),
@@ -20,13 +21,13 @@ A registry of named checks (``@check``) spanning four families:
   uninterrupted run, snapshot idempotence, schema-version negotiation,
   and byte-identical write-ahead-journal resume,
 * **tenancy** — the multi-tenant serving plane over
-  :mod:`repro.tenancy`: WFQ/FCFS engine parity across every KV
-  isolation mode, exact per-tenant billing partition, per-tenant
+  :mod:`repro.tenancy`: WFQ/FCFS jumped-vs-ticked parity across every
+  KV isolation mode, exact per-tenant billing partition, per-tenant
   request conservation under faults, weighted-fairness ordering,
   shed-priority parity, and WFQ-armed snapshot resume,
 * **attest** — the phased confidential boot lifecycle over
   :mod:`repro.tee.boot`: boot-phase conservation, legacy-constant
-  parity, stepped/event engine parity with phased boots and
+  parity, jumped-vs-ticked parity with phased boots and
   re-attestation faults, mid-boot snapshot-resume parity, and the
   golden attestation-tax table.
 

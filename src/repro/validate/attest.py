@@ -17,12 +17,14 @@ whose sum *is* the boot latency.  Its acceptance contract:
   faulted) and autoscaled scale-ups paying the same constant through
   either mechanism produce identical reports.
 * ``attest.engine_parity`` — phased boots, re-attestation faults and
-  autoscaling produce identical OutcomeLogs on the stepped and event
-  engines (extends ``fleet.event_core_parity`` to the boot path).
+  autoscaling produce identical reports whether ``run()`` jumps quiet
+  ticks or the every-tick loop steps through them (extends
+  ``fleet.event_core_parity`` to the boot path, where boot, attest and
+  restart edges bound every jump).
 * ``attest.mid_boot_resume_parity`` — a fleet snapshotted with a
   replica in *each* of the five boot phases (including after a
-  mid-boot attestation restart) restores bit-identically on both
-  engines.
+  mid-boot attestation restart) restores bit-identically, from an
+  object stream and from a columnar table.
 * ``golden.attest_tax`` — committed snapshot of the attestation-tax
   table: $/Mtok and p99 TTFT deltas of phased vs legacy boots on the
   capacity and chaos headlines, plus the per-phase boot breakdown.
@@ -37,11 +39,11 @@ from ..fleet import (
     AutoscalerConfig,
     FleetSimulator,
     ReactiveAutoscaler,
+    RequestTable,
     fixed_fleet,
     poisson_arrivals,
     replica_spec,
 )
-from ..fleet.table import RequestTable
 from ..llm.config import LLAMA2_7B, LLAMA2_70B
 from ..llm.datatypes import BFLOAT16, INT8
 from ..tee.boot import (
@@ -55,6 +57,7 @@ from ..tee.boot import (
     constant_profile,
 )
 from .context import AuditContext
+from .event import ticked_run, ticked_vs_jumped
 from .golden import _golden
 from .registry import CheckFailure, check
 
@@ -76,11 +79,16 @@ def _stream(requests: int = 24, rate_per_s: float = 1.2, seed: int = 11):
                             mean_prompt=128, mean_output=48, seed=seed)
 
 
-def _requests(engine: str, **kwargs):
-    stream = _stream(**kwargs)
-    if engine == "event":
-        return RequestTable.from_requests(stream)
-    return stream
+#: The two drivers every attest regime runs through: the every-tick
+#: loop on the object stream, and ``run()`` (quiet ticks jumped) on its
+#: columnar table.
+_DRIVERS = ("ticked", "jumped")
+
+
+def _serve(driver: str, fleet, requests):
+    if driver == "ticked":
+        return ticked_run(fleet, requests)[0]
+    return fleet.run(RequestTable.from_requests(requests))
 
 
 def _compare(label: str, reference: dict, candidate: dict) -> None:
@@ -186,13 +194,11 @@ def legacy_constant_parity(ctx: AuditContext) -> str:
                                 seed=5, kinds=_BOOT_NEUTRAL_KINDS),
         "retry_policy": RetryPolicy(timeout_s=25.0, max_attempts=4, seed=5),
     }
-    for engine in ("stepped", "event"):
+    for driver in _DRIVERS:
         for label, kwargs in (("fault-free", {}), ("faulted", faulted)):
-            a = fixed_fleet(legacy, 2, engine=engine,
-                            **kwargs).run(_requests(engine))
-            b = fixed_fleet(armed, 2, engine=engine,
-                            **kwargs).run(_requests(engine))
-            _compare(f"{engine}/{label} zero-boot", a.to_dict(), b.to_dict())
+            a = _serve(driver, fixed_fleet(legacy, 2, **kwargs), _stream())
+            b = _serve(driver, fixed_fleet(armed, 2, **kwargs), _stream())
+            _compare(f"{driver}/{label} zero-boot", a.to_dict(), b.to_dict())
             compared += 1
     # Scale-ups: the autoscaler constant vs the same constant expressed
     # as a degenerate boot profile on the scale spec.
@@ -203,15 +209,15 @@ def legacy_constant_parity(ctx: AuditContext) -> str:
                                 kv_capacity_tokens=16384,
                                 boot=constant_profile("tdx", 9.0))
     reports = []
-    for engine in ("stepped", "event"):
+    for driver in _DRIVERS:
         pair = []
         for scale_spec in (legacy, scaled_armed):
             sim = FleetSimulator(
                 [legacy], autoscaler=ReactiveAutoscaler(config),
-                scale_spec=scale_spec, engine=engine)
-            pair.append(sim.run(_requests(engine, requests=36,
-                                          rate_per_s=6.0, seed=3)))
-        _compare(f"{engine} autoscaled constant", pair[0].to_dict(),
+                scale_spec=scale_spec)
+            pair.append(_serve(driver, sim, _stream(requests=36,
+                                                    rate_per_s=6.0, seed=3)))
+        _compare(f"{driver} autoscaled constant", pair[0].to_dict(),
                  pair[1].to_dict())
         reports.append(pair[0])
         compared += 1
@@ -238,36 +244,34 @@ def _phased_regimes():
        layers=("tee", "fleet", "faults"))
 def engine_parity(ctx: AuditContext) -> str:
     """Phased boots, re-attestation faults and autoscaling are
-    bit-identical between the stepped and event engines."""
-    compared = 0
+    bit-identical between run() and the every-tick loop."""
+    compared = jumps = 0
     for label, spec, kwargs in _phased_regimes():
-        stepped = fixed_fleet(spec, 2, engine="stepped",
-                              **kwargs).run(_requests("stepped"))
-        event = fixed_fleet(spec, 2, engine="event",
-                            **kwargs).run(_requests("event"))
-        _compare(label, stepped.to_dict(), event.to_dict())
-        if not stepped.outcomes:
+        reference, jumped = ticked_vs_jumped(
+            label, lambda: fixed_fleet(spec, 2, **kwargs), _stream())
+        if not reference.outcomes:
             raise CheckFailure(f"{label}: no outcomes; check is vacuous")
-        compared += len(stepped.outcomes)
+        compared += len(reference.outcomes)
+        jumps += jumped
     # Autoscaled: scale-ups clone the phased spec, so every scale-up
     # pays the full phase sequence instead of the config constant.
     config = AutoscalerConfig(min_replicas=1, max_replicas=3,
                               scale_up_load=2.0, scale_down_load=0.5,
                               cooldown_s=4.0)
-    pair = []
-    for engine in ("stepped", "event"):
-        sim = FleetSimulator(
-            [_phased_spec("tdx")],
-            autoscaler=ReactiveAutoscaler(config), engine=engine)
-        pair.append(sim.run(_requests(engine, requests=36, rate_per_s=6.0,
-                                      seed=3)))
-    _compare("tdx/autoscaled", pair[0].to_dict(), pair[1].to_dict())
-    if not pair[0].scale_events:
+    reference, _ = ticked_vs_jumped(
+        "tdx/autoscaled",
+        lambda: FleetSimulator([_phased_spec("tdx")],
+                               autoscaler=ReactiveAutoscaler(config)),
+        _stream(requests=36, rate_per_s=6.0, seed=3))
+    if not reference.scale_events:
         raise CheckFailure("autoscaled phased regime never scaled; "
                            "check is vacuous")
-    compared += len(pair[0].outcomes)
+    compared += len(reference.outcomes)
+    if not jumps:
+        raise CheckFailure("no phased regime jumped a tick; check is "
+                           "vacuous")
     return (f"{compared} request timelines bit-identical across "
-            f"4 phased-boot regimes")
+            f"4 phased-boot regimes ({jumps} ticks jumped)")
 
 
 @check("attest.mid_boot_resume_parity", family="attest",
@@ -287,14 +291,17 @@ def mid_boot_resume_parity(ctx: AuditContext) -> str:
                    restart_after_s=4.0),
     ))
     retry = RetryPolicy(timeout_s=60.0, max_attempts=4, seed=3)
-    restored = 0
-    for engine in ("stepped", "event"):
-        def fleet():
-            return fixed_fleet(spec, 2, faults=faults, retry_policy=retry,
-                               engine=engine)
 
-        requests = _requests(engine, requests=20, rate_per_s=0.8, seed=5)
-        baseline = fleet().run(requests).to_dict()
+    def fleet():
+        return fixed_fleet(spec, 2, faults=faults, retry_policy=retry)
+
+    stream = _stream(requests=20, rate_per_s=0.8, seed=5)
+    baseline = ticked_run(fleet(), stream)[0].to_dict()
+    restored = 0
+    for label, requests in (("stream", stream),
+                            ("table", RequestTable.from_requests(stream))):
+        _compare(f"{label} run() vs every tick", baseline,
+                 fleet().run(requests).to_dict())
         running = fleet()
         running.begin_run(requests)
         snapshots: list[tuple[str, dict]] = []
@@ -311,21 +318,21 @@ def mid_boot_resume_parity(ctx: AuditContext) -> str:
         missing = set(BOOT_PHASES) - seen
         if missing:
             raise CheckFailure(
-                f"{engine}: no snapshot captured in phases "
+                f"{label}: no snapshot captured in phases "
                 f"{sorted(missing)}; check is vacuous")
         if running.finish_run().to_dict() != baseline:
             raise CheckFailure(
-                f"{engine}: taking the snapshots perturbed the run")
+                f"{label}: taking the snapshots perturbed the run")
         for phase, payload in snapshots:
             fresh = fleet()
             fresh.from_state(payload)
             while fresh.run_active:
                 fresh.run_tick()
-            _compare(f"{engine} resume from {phase}", baseline,
+            _compare(f"{label} resume from {phase}", baseline,
                      fresh.finish_run().to_dict())
             restored += 1
     return (f"{restored} mid-boot snapshots (all {len(BOOT_PHASES)} "
-            f"phases x 2 engines) restore exactly; reattest window "
+            f"phases x 2 input forms) restore exactly; reattest window "
             f"{sequence.remaining_from(BOOT_PHASES[1]):.2f}s exercised")
 
 

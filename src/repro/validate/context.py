@@ -20,11 +20,8 @@ from ..engine.placement import Deployment, Workload
 from ..engine.simulator import GenerationResult, simulate_generation
 from ..llm.config import LLAMA2_7B, tiny_llama
 from ..llm.datatypes import BFLOAT16
-from ..serving.scheduler import (
-    ContinuousBatchingScheduler,
-    ServingReport,
-    poisson_stream,
-)
+from ..serving.columnar import ColumnarScheduler
+from ..serving.scheduler import ServingReport, poisson_stream
 
 #: Default location of the committed golden snapshots.
 GOLDEN_DIR = Path(__file__).parent / "golden_data"
@@ -133,7 +130,7 @@ class AuditContext:
             requests = poisson_stream(num_requests, rate_per_s,
                                       mean_prompt=96, mean_output=48,
                                       seed=seed)
-            scheduler = ContinuousBatchingScheduler(
+            scheduler = ColumnarScheduler(
                 self.cpu(backend), self.model, self.dtype,
                 kv_capacity_tokens=kv_capacity_tokens, max_batch=max_batch)
             report = scheduler.run(requests)

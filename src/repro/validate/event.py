@@ -1,26 +1,33 @@
-"""Event-engine audit checks: columnar core vs stepped twin.
+"""Fleet-core audit checks: quiet-tick jumping vs ticking every tick.
 
-The event-driven columnar fleet core (``engine="event"``) exists for
-throughput — simulating millions of requests per run — but its
-acceptance criterion is *parity*: the stepped engine remains the
-reference semantics, and the event core must reproduce it
-bit-identically, not approximately.  These checks pin that contract
-the same way ``serving.legacy_loop_parity`` pinned the steppable
-scheduler refactor:
+The fleet core (:class:`~repro.fleet.cluster.FleetSimulator`) runs on
+columnar request state and jumps quiet stretches of the tick grid in
+:meth:`~repro.fleet.cluster.FleetSimulator.run`.  Its acceptance
+criterion is *parity*, not approximation, against two independent
+references:
 
-* ``fleet.event_core_parity`` (differential) — the same request
-  stream, once as :class:`~repro.serving.scheduler.ServeRequest`
-  objects through the stepped engine and once as a columnar
-  :class:`~repro.fleet.table.RequestTable` through the event engine,
-  across fault-free, faulted, autoscaled and spill-router
-  configurations.  Report dicts and raw per-request outcome floats
-  must be exactly equal — float equality, no tolerance.
-* ``fleet.event_core_resume_parity`` (state) — freeze an event-engine
-  run mid-flight, push the snapshot through strict JSON, revive it in
-  a fresh event simulator and finish: bit-identical to never having
-  stopped, and equal to the stepped baseline on the same stream.  The
-  engine-mismatch guard (restoring an event snapshot into a stepped
-  simulator) must refuse with a clear error.
+* the every-tick ``begin_run``/``run_tick``/``finish_run`` loop, which
+  executes every tick of the grid and so never takes the jump, fed the
+  stream as plain ``ServeRequest`` objects, while ``run()`` is fed the
+  columnar :class:`~repro.fleet.table.RequestTable` twin; and
+* the frozen object-per-request oracle (:mod:`repro.validate.oracle`),
+  which the production scheduler must match operation for operation —
+  pinned by ``serving.columnar_reference_parity``.
+
+The checks here cover the first reference:
+
+* ``fleet.event_core_parity`` (differential) — across fault-free,
+  faulted, autoscaled and spill-router configurations, ``run(table)``
+  equals the every-tick loop on the object stream and equals
+  ``run(list)``: report dicts and raw per-request outcome floats,
+  float equality, no tolerance.  The check also requires that some
+  configuration actually jumped ticks, so the comparison is not
+  trivially equal.
+* ``fleet.event_core_resume_parity`` (state) — freeze a run mid-flight,
+  push the snapshot through strict JSON, revive it in a fresh simulator
+  and finish: bit-identical to never having stopped and to the
+  every-tick reference.  Snapshots of the retired per-object run format
+  (``"engine": "stepped"``, or no engine tag at all) must be refused.
 """
 
 from __future__ import annotations
@@ -32,15 +39,87 @@ from ..fleet import (
     AutoscalerConfig,
     FleetSimulator,
     ReactiveAutoscaler,
+    RequestTable,
     fixed_fleet,
     poisson_arrivals,
     poisson_table,
     replica_spec,
 )
+from ..fleet.report import FleetReport
 from ..fleet.router import CostSloRouter
 from ..state.errors import StateIntegrityError
 from .context import AuditContext
 from .registry import CheckFailure, check
+
+
+def ticked_run(fleet: FleetSimulator, requests) -> tuple[FleetReport, int]:
+    """The every-tick reference loop; returns (report, ticks executed)."""
+    fleet.begin_run(requests)
+    ticks = 0
+    while fleet.run_active:
+        fleet.run_tick()
+        ticks += 1
+    return fleet.finish_run(), ticks
+
+
+def jumped_run(fleet: FleetSimulator, requests) -> tuple[FleetReport, int]:
+    """``fleet.run`` (quiet ticks jumped); returns (report, ticks executed).
+
+    Counts executed ticks by shadowing ``run_tick`` on this one
+    instance, so the production loop runs unmodified.
+    """
+    ticks = 0
+    run_tick = fleet.run_tick
+
+    def counted() -> None:
+        nonlocal ticks
+        ticks += 1
+        run_tick()
+
+    fleet.run_tick = counted
+    try:
+        return fleet.run(requests), ticks
+    finally:
+        del fleet.run_tick
+
+
+def compare_reports(label: str, reference: FleetReport,
+                    candidate: FleetReport) -> int:
+    """Exact report + per-request timeline equality; returns #requests."""
+    a, b = reference.to_dict(), candidate.to_dict()
+    if a != b:
+        diverged = [key for key in a if a[key] != b.get(key)]
+        raise CheckFailure(f"{label}: reports diverged in {diverged[:4]}")
+    if len(reference.outcomes) != len(candidate.outcomes):
+        raise CheckFailure(f"{label}: outcome counts diverge")
+    for x, y in zip(reference.outcomes, candidate.outcomes):
+        # Bit-identical means raw float equality, not tolerance.
+        if (x.request, x.first_token_s, x.finish_s, x.preemptions) \
+                != (y.request, y.first_token_s, y.finish_s, y.preemptions):
+            raise CheckFailure(
+                f"{label}: request {x.request.request_id} timeline "
+                f"diverged")
+    return len(reference.outcomes)
+
+
+def ticked_vs_jumped(label: str, factory, requests,
+                     table: RequestTable | None = None,
+                     ) -> tuple[FleetReport, int]:
+    """Run one fleet config three ways and require identical reports.
+
+    The every-tick loop on the object stream is the reference;
+    ``run(table)`` and ``run(list)`` must both reproduce it.  Returns
+    the reference report and how many ticks ``run(table)`` jumped.
+    """
+    requests = list(requests)
+    if table is None:
+        table = RequestTable.from_requests(requests)
+    reference, spanned = ticked_run(factory(), requests)
+    jumped, executed = jumped_run(factory(), table)
+    compare_reports(f"{label} (run(table) vs every tick)", reference, jumped)
+    compare_reports(f"{label} (run(list) vs every tick)", reference,
+                    factory().run(requests))
+    return reference, spanned - executed
 
 
 def _tdx_spec():
@@ -60,78 +139,54 @@ def _configs() -> list[tuple[str, "callable"]]:
     """Factories covering every structurally distinct fleet regime."""
     spec = _tdx_spec()
 
-    def fault_free(engine):
-        return fixed_fleet(spec, 2, engine=engine)
+    def fault_free():
+        return fixed_fleet(spec, 2)
 
-    def faulted(engine):
+    def faulted():
         return fixed_fleet(
             spec, 2,
             faults=mtbf_schedule([0, 1], mtbf_s=6.0, horizon_s=30.0, seed=3),
-            retry_policy=RetryPolicy(timeout_s=30.0, max_attempts=4, seed=3),
-            engine=engine)
+            retry_policy=RetryPolicy(timeout_s=30.0, max_attempts=4, seed=3))
 
-    def autoscaled(engine):
+    def autoscaled():
         scaler = ReactiveAutoscaler(AutoscalerConfig(
             max_replicas=4, scale_up_load=3.0, scale_down_load=0.5,
             cooldown_s=2.0, boot_latency_s=5.0))
-        return FleetSimulator([spec], autoscaler=scaler, scale_spec=spec,
-                              engine=engine)
+        return FleetSimulator([spec], autoscaler=scaler, scale_spec=spec)
 
-    def spill_router(engine):
+    def spill_router():
         return FleetSimulator(
             [spec, spec], router=CostSloRouter(slo_ttft_s=2.0),
             faults=mtbf_schedule([0, 1], mtbf_s=6.0, horizon_s=30.0, seed=3),
             retry_policy=RetryPolicy(timeout_s=30.0, max_attempts=4, seed=3),
             degradation=DegradationPolicy(mode="spill", max_hold_s=4.0,
                                           spill_boot_s=1.0, max_spill=2),
-            scale_spec=spec, engine=engine)
+            scale_spec=spec)
 
     return [("fixed/fault-free", fault_free), ("fixed/faulted", faulted),
             ("autoscaled", autoscaled), ("spill-router/faulted",
                                          spill_router)]
 
 
-def _compare(label: str, stepped, event) -> int:
-    """Exact report + per-request timeline equality; returns #requests."""
-    a, b = stepped.to_dict(), event.to_dict()
-    if a != b:
-        diverged = [key for key in a if a[key] != b.get(key)]
-        raise CheckFailure(
-            f"{label}: event report diverged from stepped in "
-            f"{diverged[:4]}")
-    if len(stepped.outcomes) != len(event.outcomes):
-        raise CheckFailure(f"{label}: outcome counts diverge")
-    for x, y in zip(stepped.outcomes, event.outcomes):
-        # Bit-identical means raw float equality, not tolerance.
-        if (x.request.request_id, x.first_token_s, x.finish_s,
-                x.preemptions) != (y.request.request_id, y.first_token_s,
-                                   y.finish_s, y.preemptions):
-            raise CheckFailure(
-                f"{label}: request {x.request.request_id} timeline "
-                f"diverged between engines")
-    return len(stepped.outcomes)
-
-
 @check("fleet.event_core_parity", family="differential",
        layers=("fleet", "serving"))
 def event_core_parity(ctx: AuditContext) -> str:
-    """The event-driven columnar core reproduces the stepped engine
-    bit-identically across all fleet regimes."""
+    """run() with quiet-tick jumps reproduces the every-tick loop
+    bit-identically across all fleet regimes, from tables and lists."""
     requests, table = _fleet_stream()
     for i, request in enumerate(requests):
-        twin = table.request(i)
-        if (request.request_id, request.arrival_s, request.prompt_tokens,
-                request.output_tokens) != (twin.request_id, twin.arrival_s,
-                                           twin.prompt_tokens,
-                                           twin.output_tokens):
+        if request != table.request(i):
             raise CheckFailure(
                 f"columnar table row {i} diverged from the object stream")
-    checked = 0
+    checked = jumps = 0
     for label, factory in _configs():
-        stepped = factory("stepped").run(requests)
-        event = factory("event").run(table)
-        checked += _compare(label, stepped, event)
-    return f"{checked} request timelines bit-identical across 4 regimes"
+        reference, jumped = ticked_vs_jumped(label, factory, requests, table)
+        checked += len(reference.outcomes)
+        jumps += jumped
+    if not jumps:
+        raise CheckFailure("no regime jumped a tick; check is vacuous")
+    return (f"{checked} request timelines bit-identical across 4 regimes "
+            f"({jumps} ticks jumped)")
 
 
 @check("fleet.event_core_resume_parity", family="state",
@@ -141,37 +196,43 @@ def event_core_resume_parity(ctx: AuditContext) -> str:
     requests, table = _fleet_stream()
     resumed_reports = 0
     for label, factory in _configs():
-        baseline = factory("event").run(table)
-        running = factory("event")
+        baseline = factory().run(table)
+        running = factory()
         running.begin_run(table)
         for _ in range(23):
             if not running.run_active:
                 break
             running.run_tick()
         payload = json.loads(json.dumps(running.to_state()))
-        fresh = factory("event")
+        fresh = factory()
         fresh.from_state(payload)
         while fresh.run_active:
             fresh.run_tick()
-        _compare(f"{label} (resumed)", baseline, fresh.finish_run())
+        compare_reports(f"{label} (resumed)", baseline, fresh.finish_run())
         # Taking the snapshot must not perturb the running simulator.
         while running.run_active:
             running.run_tick()
-        _compare(f"{label} (observed)", baseline, running.finish_run())
-        # And the restored run still matches the stepped reference.
-        _compare(f"{label} (vs stepped)", factory("stepped").run(requests),
-                 baseline)
+        compare_reports(f"{label} (observed)", baseline,
+                        running.finish_run())
+        # And the jumped baseline still matches the every-tick loop.
+        compare_reports(f"{label} (vs every tick)",
+                        ticked_run(factory(), requests)[0], baseline)
         resumed_reports += 1
+    # Payloads of the retired per-object run format must be refused.
     factory = _configs()[0][1]
-    mismatch = factory("stepped")
-    snapshot = factory("event")
+    snapshot = factory()
     snapshot.begin_run(table)
     snapshot.run_tick()
-    try:
-        mismatch.from_state(json.loads(json.dumps(snapshot.to_state())))
-    except StateIntegrityError:
-        pass
-    else:
+    for engine in ("stepped", None):
+        tampered = json.loads(json.dumps(snapshot.to_state()))
+        if engine is None:
+            del tampered["engine"]
+        else:
+            tampered["engine"] = engine
+        try:
+            factory().from_state(tampered)
+        except StateIntegrityError:
+            continue
         raise CheckFailure(
-            "stepped simulator accepted an event-engine snapshot")
+            f"simulator accepted a snapshot with engine tag {engine!r}")
     return f"{resumed_reports} regimes resume bit-identically"

@@ -1,18 +1,24 @@
 """Fleet and steppable-scheduler audit checks (all three families).
 
-The steppable refactor of :class:`ContinuousBatchingScheduler` and the
-fleet layer on top of it get the same treatment as every other fast
+The production :class:`~repro.serving.columnar.ColumnarScheduler` and
+the fleet layer on top of it get the same treatment as every other fast
 path in the repository: a slower, simpler twin to diff against, a set
 of directional invariants, and a golden snapshot of the headline
 capacity-planning numbers.
 
+* ``serving.columnar_reference_parity`` (differential) drives the
+  production scheduler and the frozen object-per-request oracle
+  (:mod:`repro.validate.oracle`) through one seeded script of
+  submits (including requests too big for their partition), steps,
+  cancels, evacuations, slowdowns, clock advances and TTFT estimates,
+  and requires every observable to agree exactly after every
+  operation.
 * ``serving.legacy_loop_parity`` (differential) re-implements the
-  pre-refactor run-to-completion loop verbatim and requires ``run()``
-  to reproduce it **bit-identically** — the refactor's acceptance
-  criterion, pinned forever.
+  pre-steppable run-to-completion loop verbatim and requires the
+  oracle's ``run()`` to reproduce it **bit-identically**.
 * ``serving.step_run_parity`` (differential) drives the same stream
-  through ``submit``/``step`` at several horizon cadences and requires
-  exact equality with ``run()``.
+  through the oracle's ``submit``/``step`` at several horizon cadences
+  and requires exact equality with its ``run()``.
 * ``fleet.*`` metamorphic checks encode cluster-level physics: adding
   a replica never raises p99 TTFT under fixed load, requests are
   conserved through routing/autoscaling, fleet runs are deterministic.
@@ -23,6 +29,9 @@ capacity-planning numbers.
 
 from __future__ import annotations
 
+import random
+from dataclasses import replace
+
 from ..fleet import (
     capacity_sweep,
     fixed_fleet,
@@ -31,9 +40,12 @@ from ..fleet import (
     trace_replay,
 )
 from ..llm.kvcache import PagedKVCache
-from ..serving.scheduler import ContinuousBatchingScheduler, poisson_stream
+from ..serving.admission import TenancyConfig
+from ..serving.columnar import ColumnarScheduler
+from ..serving.scheduler import ServeRequest, poisson_stream
 from .context import AuditContext
 from .golden import _golden
+from .oracle import ContinuousBatchingScheduler
 from .registry import CheckFailure, check
 
 
@@ -193,6 +205,177 @@ def step_run_parity(ctx: AuditContext) -> str:
                     f"{horizon}")
             checked += 1
     return f"{checked} (stream, horizon) pairs exact"
+
+
+# -- production scheduler vs the frozen oracle --------------------------------
+
+#: Tenancy setups the reference script runs under: unarmed, WFQ alone,
+#: FCFS with hard KV partitions, and WFQ with shared-prefix pinning.
+#: Tenant 3 is deliberately unconfigured (weight 1, no prefix, and no
+#: partition — a partitioned replica must refuse it).
+_REFERENCE_WEIGHTS = ((0, 4.0), (1, 2.0), (2, 1.0))
+_REFERENCE_TENANCY = (
+    ("none", None),
+    ("wfq", TenancyConfig(admission="wfq", weights=_REFERENCE_WEIGHTS)),
+    ("partition", TenancyConfig(
+        kv_isolation="partition",
+        partition_shares=((0, 0.5), (1, 0.3), (2, 0.2)))),
+    ("shared-prefix+wfq", TenancyConfig(
+        admission="wfq", weights=_REFERENCE_WEIGHTS,
+        kv_isolation="shared-prefix", prefix_tokens=((0, 64), (1, 40)))),
+)
+
+#: Operation mix of the reference script (relative weights).
+_REFERENCE_OPS = (("submit", 35), ("step", 30), ("estimate", 12),
+                  ("cancel", 8), ("time_scale", 5), ("advance", 5),
+                  ("evacuate", 2), ("duplicate", 3))
+
+
+def _attempt(call):
+    """``("ok", result)`` or ``("error", message)`` of one operation."""
+    try:
+        return "ok", call()
+    except ValueError as error:
+        return "error", str(error)
+
+
+def _reference_script(oracle, core, seed: int, operations: int) -> int:
+    """Drive both schedulers through one seeded script; returns #ops.
+
+    Raises :class:`CheckFailure` at the first operation whose result,
+    or whose scheduler state afterwards, differs between the two.
+    """
+    rng = random.Random(seed)
+    names = [name for name, _ in _REFERENCE_OPS]
+    weights = [weight for _, weight in _REFERENCE_OPS]
+    # Time unit: one 256-token prefill on this backend (the idle
+    # scheduler's TTFT estimate), so every backend sees similar load.
+    unit = core.estimated_ttft_s(
+        ServeRequest(request_id=0, arrival_s=0.0, prompt_tokens=256,
+                     output_tokens=8), 0.0)
+    now = 0.0
+    next_id = 0
+    submitted: list[int] = []
+    withdrawn: list[ServeRequest] = []
+
+    def fresh_request() -> ServeRequest:
+        nonlocal next_id
+        if rng.random() < 0.05:
+            # Too big for a tenant partition or for the whole pool.
+            prompt, output = rng.choice(((400, 120), (900, 200)))
+        else:
+            # A coarse prompt grid (step 23 visits every residue mod the
+            # 16-token block) keeps the cold prefill-cost memo small.
+            prompt, output = rng.randrange(16, 330, 23), rng.randint(8, 120)
+        arrival = max(0.0, now + rng.uniform(-6.0, 3.0) * unit)
+        request = ServeRequest(request_id=next_id, arrival_s=arrival,
+                               prompt_tokens=prompt, output_tokens=output,
+                               tenant_id=rng.randrange(4))
+        next_id += 1
+        return request
+
+    for index in range(operations):
+        op = rng.choices(names, weights)[0]
+        if op == "submit":
+            if withdrawn and rng.random() < 0.5:
+                # Resubmit a cancelled/evacuated request, as a retry.
+                request = withdrawn.pop(rng.randrange(len(withdrawn)))
+            else:
+                request = fresh_request()
+            submitted.append(request.request_id)
+            got = (_attempt(lambda: oracle.submit(request)),
+                   _attempt(lambda: core.submit(request)))
+        elif op == "duplicate":
+            if not submitted:
+                continue
+            rid = rng.choice(submitted)
+            twin = ServeRequest(request_id=rid, arrival_s=now,
+                                prompt_tokens=32, output_tokens=8)
+            got = (_attempt(lambda: oracle.submit(twin)),
+                   _attempt(lambda: core.submit(twin)))
+        elif op == "step":
+            now += rng.expovariate(0.25) * unit
+            outcomes = oracle.step(now)
+            finished = core.step(now)
+            got = ([(o.request.request_id, o.first_token_s, o.finish_s,
+                     o.preemptions) for o in outcomes],
+                   [(rid, *core.finished_triple(rid)) for rid in finished])
+        elif op == "estimate":
+            probe = fresh_request()
+            got = (oracle.estimated_ttft_s(probe, now),
+                   core.estimated_ttft_s(probe, now))
+        elif op == "cancel":
+            pool = submitted + [next_id + 7]
+            rid = rng.choice(pool)
+            got = (oracle.cancel(rid), core.cancel(rid))
+            if got[0] is not None:
+                withdrawn.append(got[0][0])
+        elif op == "evacuate":
+            got = (oracle.evacuate(), core.evacuate())
+            withdrawn.extend(request for request, _ in got[0])
+        elif op == "time_scale":
+            scale = rng.choice((1.0, 1.0, 1.5, 3.0))
+            oracle.time_scale = core.time_scale = scale
+            got = (oracle.time_scale, core.time_scale)
+        else:  # advance
+            target = now + rng.uniform(-3.0, 6.0) * unit
+            oracle.advance_clock_to(target)
+            core.advance_clock_to(target)
+            got = (None, None)
+        state = [(s.clock_s, s.outstanding, s.queue_depth,
+                  s.kv_free_fraction, s.preemptions, s.prefix_hits,
+                  s.prefix_misses, s.idle) for s in (oracle, core)]
+        if got[0] != got[1] or state[0] != state[1]:
+            raise CheckFailure(
+                f"seed {seed}, operation {index} ({op}): oracle "
+                f"{got[0]!r:.200} / {state[0]} vs core {got[1]!r:.200} / "
+                f"{state[1]}")
+    oracle.step(None)
+    core.step(None)
+    expected, actual = oracle.report(), core.report()
+    if ([(o.request, o.first_token_s, o.finish_s, o.preemptions)
+         for o in expected.outcomes]
+            != [(o.request, o.first_token_s, o.finish_s, o.preemptions)
+                for o in actual.outcomes]
+            or (expected.makespan_s, expected.total_preemptions,
+                expected.mean_batch_occupancy)
+            != (actual.makespan_s, actual.total_preemptions,
+                actual.mean_batch_occupancy)):
+        raise CheckFailure(f"seed {seed}: final reports diverged")
+    return operations
+
+
+@check("serving.columnar_reference_parity", family="differential",
+       layers=("serving",))
+def columnar_reference_parity(ctx: AuditContext) -> str:
+    """The production ColumnarScheduler matches the frozen oracle
+    exactly through a seeded script of every scheduler operation."""
+    backends = (("tdx", ctx.cpu("tdx")), ("baremetal", ctx.cpu()),
+                ("cgpu", ctx.gpu(confidential=True)))
+    # Two decoder blocks keep the cold step-cost memo cheap; scheduling
+    # parity does not depend on model depth.
+    model = replace(ctx.model, name=f"{ctx.model.name}-2-blocks",
+                    num_layers=2)
+    operations = 0
+    for backend, deployment in backends:
+        for label, tenancy in _REFERENCE_TENANCY:
+            for seed in range(2):
+                kwargs = dict(kv_capacity_tokens=1024, max_batch=4,
+                              admission_lookahead=2 * seed,
+                              tenancy=tenancy)
+                oracle = ContinuousBatchingScheduler(
+                    deployment, model, ctx.dtype, **kwargs)
+                core = ColumnarScheduler(deployment, model, ctx.dtype,
+                                         **kwargs)
+                try:
+                    operations += _reference_script(oracle, core, seed,
+                                                    operations=250)
+                except CheckFailure as failure:
+                    raise CheckFailure(
+                        f"{backend}/{label}: {failure}") from failure
+    return (f"{operations} scripted operations identical across "
+            f"{len(backends)} backends x {len(_REFERENCE_TENANCY)} "
+            f"tenancy setups")
 
 
 # -- fleet metamorphic checks -------------------------------------------------

@@ -266,11 +266,10 @@ def scheduler_conservation(ctx: AuditContext) -> str:
                 <= outcome.finish_s <= report.end_s):
             raise CheckFailure(
                 f"request {outcome.request.request_id} lifecycle disordered")
-    cache = scheduler.cache
-    if cache.free_blocks != cache.num_blocks or cache.allocated_blocks != 0:
+    if scheduler.kv_free_fraction != 1.0 or not scheduler.idle:
         raise CheckFailure(
-            f"KV blocks leaked: {cache.allocated_blocks} still allocated "
-            f"after the stream drained")
+            f"KV blocks leaked: free fraction "
+            f"{scheduler.kv_free_fraction!r} after the stream drained")
     return (f"{len(requests)} requests, {report.total_preemptions} "
             f"preemptions, pool drained")
 

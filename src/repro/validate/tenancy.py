@@ -2,17 +2,21 @@
 
 The tenancy plane (:mod:`repro.tenancy` over
 :mod:`repro.serving.admission`) adds weighted-fair queueing, KV
-isolation modes, and per-tenant billing on top of both scheduler
-engines.  Its acceptance contract mirrors the event-core one: the
-stepped engine stays the reference, and every tenancy configuration —
-WFQ or FCFS, shared, partitioned or prefix-sharing KV — must reproduce
-bit-identically on the columnar engine, while the tenant ledgers
-*exactly* partition the fleet bill and conserve every submitted
-request across fault and degradation regimes.
+isolation modes, and per-tenant billing on top of the fleet core.  Its
+acceptance contract mirrors the fleet-core one (:mod:`.event`): every
+tenancy configuration — WFQ or FCFS, shared, partitioned or
+prefix-sharing KV — must reproduce bit-identically whether ``run()``
+jumps quiet ticks or the every-tick loop steps through them, and from
+the population's object stream or its columnar table, while the
+tenant ledgers *exactly* partition the fleet bill and conserve every
+submitted request across fault and degradation regimes.  Every
+scheduler-level tenancy policy is also diffed against the frozen
+oracle by ``serving.columnar_reference_parity``.
 
 * ``tenancy.engine_parity`` — stream/table twins and full
   admission x isolation regime grid, fault-free and faulted, compared
-  as raw report dicts and per-tenant breakdowns (float equality).
+  as raw report dicts and per-request timelines (float equality)
+  between ``run()`` and the every-tick loop.
 * ``tenancy.billing_conservation`` — per-tenant invoices in integer
   cents sum to ``round(cost_usd * 100)`` in every regime.
 * ``tenancy.request_conservation`` — per tenant,
@@ -20,10 +24,11 @@ request across fault and degradation regimes.
 * ``tenancy.wfq_fairness`` — under symmetric demand on a saturated
   replica, the heavier-weighted tenant sees the smaller p99 TTFT.
 * ``tenancy.shed_priority_parity`` — the degradation shed ledger
-  (id, time, reason, attempts, priority) is identical between engines
-  under mixed priority classes.
+  (id, time, reason, attempts, priority) is identical between ``run()``
+  and the every-tick loop under mixed priority classes.
 * ``tenancy.resume_parity`` — a WFQ-armed, prefix-sharing, faulted
-  fleet snapshotted mid-run restores bit-identically on both engines.
+  fleet snapshotted mid-run restores bit-identically, equal to both
+  ``run()`` and the every-tick loop.
 """
 
 from __future__ import annotations
@@ -39,6 +44,7 @@ from ..tenancy import (
     whale_mix,
 )
 from .context import AuditContext
+from .event import ticked_run, ticked_vs_jumped
 from .golden import _golden
 from .registry import CheckFailure, check
 
@@ -89,19 +95,19 @@ def _regimes(population: TenantPopulation):
 
 
 def _run_pair(population, spec, fleet_kwargs):
-    """The same population through both engines; raw FleetReports."""
-    stepped = fixed_fleet(spec, 2, engine="stepped",
-                          **fleet_kwargs).run(population.stream())
-    event = fixed_fleet(spec, 2, engine="event",
-                        **fleet_kwargs).run(population.table())
-    return stepped, event
+    """The population through the every-tick loop (object stream) and
+    through ``run()`` (columnar table); raw FleetReports."""
+    ticked, _ = ticked_run(fixed_fleet(spec, 2, **fleet_kwargs),
+                           population.stream())
+    jumped = fixed_fleet(spec, 2, **fleet_kwargs).run(population.table())
+    return ticked, jumped
 
 
 @check("tenancy.engine_parity", family="tenancy",
        layers=("tenancy", "fleet", "serving"))
 def engine_parity(ctx: AuditContext) -> str:
     """Every admission x isolation regime, fault-free and faulted, is
-    bit-identical between the stepped and event engines."""
+    bit-identical between run() and the every-tick loop."""
     population = _population()
     stream, table = population.stream(), population.table()
     for i, request in enumerate(stream):
@@ -110,19 +116,11 @@ def engine_parity(ctx: AuditContext) -> str:
                 f"population table row {i} diverged from the stream")
     compared = 0
     for label, spec, fleet_kwargs in _regimes(population):
-        stepped, event = _run_pair(population, spec, fleet_kwargs)
-        a, b = stepped.to_dict(), event.to_dict()
-        if a != b:
-            diverged = [key for key in a if a[key] != b.get(key)]
-            raise CheckFailure(
-                f"{label}: event report diverged from stepped in "
-                f"{diverged[:4]}")
-        split_a = tenant_breakdown(stepped, population).to_dict()
-        split_b = tenant_breakdown(event, population).to_dict()
-        if split_a != split_b:
-            raise CheckFailure(
-                f"{label}: per-tenant breakdown diverged between engines")
-        compared += len(stepped.outcomes)
+        def factory():
+            return fixed_fleet(spec, 2, **fleet_kwargs)
+
+        reference, _ = ticked_vs_jumped(label, factory, stream, table)
+        compared += len(reference.outcomes)
     return (f"{compared} request timelines bit-identical across "
             f"{len(_regimes(population))} tenancy regimes")
 
@@ -135,7 +133,7 @@ def billing_conservation(ctx: AuditContext) -> str:
     population = _population()
     checked = 0
     for label, spec, fleet_kwargs in _regimes(population):
-        report = fixed_fleet(spec, 2, engine="stepped",
+        report = fixed_fleet(spec, 2,
                              **fleet_kwargs).run(population.stream())
         split = tenant_breakdown(report, population)
         expected = round(report.cost_usd * 100)
@@ -169,7 +167,7 @@ def request_conservation(ctx: AuditContext) -> str:
                  for spec in population.tenants}
     checked = 0
     for label, spec, fleet_kwargs in _regimes(population):
-        report = fixed_fleet(spec, 2, engine="event",
+        report = fixed_fleet(spec, 2,
                              **fleet_kwargs).run(population.table())
         split = tenant_breakdown(report, population)
         for usage in split.tenants:
@@ -196,7 +194,7 @@ def wfq_fairness(ctx: AuditContext) -> str:
     spec = replica_spec(
         "tdx", max_batch=4, kv_capacity_tokens=8192,
         tenancy=population.tenancy_config(admission="wfq"))
-    report = fixed_fleet(spec, 1, engine="stepped").run(population.stream())
+    report = fixed_fleet(spec, 1).run(population.stream())
     split = tenant_breakdown(report, population)
     heavy, light = split.usage_of(0), split.usage_of(1)
     if heavy.ttft_p99_s is None or light.ttft_p99_s is None:
@@ -216,7 +214,8 @@ def wfq_fairness(ctx: AuditContext) -> str:
        layers=("tenancy", "fleet", "faults"))
 def shed_priority_parity(ctx: AuditContext) -> str:
     """The degradation shed ledger — order, priorities, reasons — is
-    identical between engines under mixed priority classes."""
+    identical between run() and the every-tick loop under mixed
+    priority classes."""
     population = _population()
     spec = _spec(population, "fcfs", "shared")
     fleet_kwargs = {
@@ -224,18 +223,18 @@ def shed_priority_parity(ctx: AuditContext) -> str:
         "retry_policy": RetryPolicy(timeout_s=8.0, max_attempts=2, seed=9),
         "degradation": DegradationPolicy(mode="shed", max_hold_s=1.0),
     }
-    stepped, event = _run_pair(population, spec, fleet_kwargs)
+    ticked, jumped = _run_pair(population, spec, fleet_kwargs)
     ledger = [(shed.request.request_id, shed.request.tenant_id,
                shed.request.priority, shed.time_s, shed.reason,
-               shed.attempts) for shed in stepped.shed]
+               shed.attempts) for shed in ticked.shed]
     twin = [(shed.request.request_id, shed.request.tenant_id,
              shed.request.priority, shed.time_s, shed.reason,
-             shed.attempts) for shed in event.shed]
+             shed.attempts) for shed in jumped.shed]
     if ledger != twin:
         first = next(i for i, (a, b) in enumerate(zip(ledger, twin))
                      if a != b) if len(ledger) == len(twin) else -1
         raise CheckFailure(
-            f"shed ledgers diverged between engines "
+            f"shed ledgers diverged between run() and the every-tick loop "
             f"(lengths {len(ledger)}/{len(twin)}, first diff {first})")
     # Within one shed instant, lower priority classes go first.
     by_instant: dict[float, list[tuple[int, int]]] = {}
@@ -249,30 +248,33 @@ def shed_priority_parity(ctx: AuditContext) -> str:
                 f"{batch}")
     if not by_instant:
         raise CheckFailure("regime degraded-shed nothing; check is vacuous")
-    return (f"{len(ledger)}-entry shed ledger identical across engines, "
-            f"priority-ordered within instants")
+    return (f"{len(ledger)}-entry shed ledger identical between run() "
+            f"and the every-tick loop, priority-ordered within instants")
 
 
 @check("tenancy.resume_parity", family="tenancy",
        layers=("tenancy", "fleet", "state"))
 def resume_parity(ctx: AuditContext) -> str:
     """A WFQ-armed, prefix-sharing, faulted fleet snapshotted mid-run
-    restores bit-identically on both engines."""
+    restores bit-identically, from an object stream or a table."""
     population = _population()
     spec = _spec(population, "wfq", "shared-prefix")
     fleet_kwargs = {
         "faults": mtbf_schedule([0, 1], mtbf_s=8.0, horizon_s=30.0, seed=5),
         "retry_policy": RetryPolicy(timeout_s=30.0, max_attempts=4, seed=5),
     }
+
+    def fleet():
+        return fixed_fleet(spec, 2, **fleet_kwargs)
+
+    reference, _ = ticked_run(fleet(), population.stream())
     resumed = 0
-    for engine in ("stepped", "event"):
-        requests = (population.table() if engine == "event"
-                    else population.stream())
-
-        def fleet():
-            return fixed_fleet(spec, 2, engine=engine, **fleet_kwargs)
-
+    for label, requests in (("stream", population.stream()),
+                            ("table", population.table())):
         baseline = fleet().run(requests)
+        if baseline.to_dict() != reference.to_dict():
+            raise CheckFailure(
+                f"{label}: run() diverged from the every-tick loop")
         running = fleet()
         running.begin_run(requests)
         for _ in range(40):
@@ -288,16 +290,17 @@ def resume_parity(ctx: AuditContext) -> str:
         if a != b:
             diverged = [key for key in a if a[key] != b.get(key)]
             raise CheckFailure(
-                f"{engine}: resumed WFQ run diverged from baseline in "
+                f"{label}: resumed WFQ run diverged from baseline in "
                 f"{diverged[:4]}")
         # Snapshotting must not perturb the running fleet either.
         while running.run_active:
             running.run_tick()
         if running.finish_run().to_dict() != a:
             raise CheckFailure(
-                f"{engine}: taking the snapshot perturbed the run")
+                f"{label}: taking the snapshot perturbed the run")
         resumed += 1
-    return f"{resumed} engines resume a WFQ+prefix+faulted run exactly"
+    return (f"{resumed} input forms resume a WFQ+prefix+faulted run "
+            f"exactly")
 
 
 # -- golden headline: the whale-mix fairness/billing snapshot -----------------
@@ -311,7 +314,7 @@ def tenant_mix_series(ctx: AuditContext) -> dict[str, float]:
         "tdx", max_batch=8, kv_capacity_tokens=16384,
         tenancy=population.tenancy_config(admission="wfq",
                                           kv_isolation="shared-prefix"))
-    report = fixed_fleet(spec, 2, engine="event").run(population.table())
+    report = fixed_fleet(spec, 2).run(population.table())
     split = tenant_breakdown(report, population)
     series: dict[str, float] = {
         "total_bill_cents": float(split.total_bill_cents),

@@ -32,8 +32,16 @@ STREAM = poisson_arrivals(24, rate_per_s=1.2, mean_prompt=128,
                           mean_output=48, seed=11)
 
 
-def _requests(engine):
-    return RequestTable.from_requests(STREAM) if engine == "event" else STREAM
+def _serve(fleet, driver):
+    """Serve STREAM stepping every tick (``stepped``: the object stream
+    through begin_run/run_tick/finish_run) or through ``run()`` with
+    quiet ticks jumped (``event``: the columnar table)."""
+    if driver == "event":
+        return fleet.run(RequestTable.from_requests(STREAM))
+    fleet.begin_run(STREAM)
+    while fleet.run_active:
+        fleet.run_tick()
+    return fleet.finish_run()
 
 
 class TestReplicaBootWiring:
@@ -148,16 +156,15 @@ class TestFleetLifecycle:
         b = fixed_fleet(armed, 2).run(STREAM)
         assert a.to_dict() == b.to_dict()
 
-    @pytest.mark.parametrize("engine", ["stepped", "event"])
-    def test_reattestation_outage_is_boot_derived(self, engine):
+    @pytest.mark.parametrize("driver", ["stepped", "event"])
+    def test_reattestation_outage_is_boot_derived(self, driver):
         faults = FaultSchedule((
             FaultEvent(time_s=27.0, kind="attestation_failure",
                        replica_id=0, duration_s=6.0),
         ))
         retry = RetryPolicy(timeout_s=60.0, max_attempts=4, seed=3)
-        fleet = fixed_fleet(PHASED, 2, faults=faults, retry_policy=retry,
-                            engine=engine)
-        report = fleet.run(_requests(engine))
+        fleet = fixed_fleet(PHASED, 2, faults=faults, retry_policy=retry)
+        report = _serve(fleet, driver)
         # The phased outage pays the re-attestation remainder, not the
         # drawn duration: the fault log records the revocation.
         assert any(a.event.kind == "attestation_failure"
@@ -173,9 +180,9 @@ class TestFleetLifecycle:
         ))
         retry = RetryPolicy(timeout_s=60.0, max_attempts=4, seed=3)
         reports = [
-            fixed_fleet(PHASED, 2, faults=faults, retry_policy=retry,
-                        engine=engine).run(_requests(engine))
-            for engine in ("stepped", "event")
+            _serve(fixed_fleet(PHASED, 2, faults=faults, retry_policy=retry),
+                   driver)
+            for driver in ("stepped", "event")
         ]
         assert reports[0].to_dict() == reports[1].to_dict()
 

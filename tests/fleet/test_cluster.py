@@ -190,3 +190,13 @@ class TestCapacityPlanning:
             FleetSimulator([TDX], tick_s=0.0)
         with pytest.raises(ValueError):
             fixed_fleet(TDX, 1).run([])
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_nonfinite_tick_rejected(self, bad):
+        # Regression: nan <= 0 is False, so a NaN tick used to pass and
+        # run_tick() drove the clock to NaN without ever finishing; an
+        # infinite tick never advanced the grid either.
+        with pytest.raises(ValueError, match="finite"):
+            FleetSimulator([TDX], tick_s=bad)
+        with pytest.raises(ValueError, match="finite"):
+            fixed_fleet(TDX, 1, tick_s=bad)

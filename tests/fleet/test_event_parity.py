@@ -1,11 +1,13 @@
-"""Property tests: event-driven columnar fleet core vs stepped engine.
+"""Property tests: quiet-tick jumping vs stepping every tick.
 
 The hand-picked regimes live in ``repro.validate.event``; here
 hypothesis draws *random* fleet configurations — replica kind and
-count, stream shape, faults on or off — and asserts the two engines
-produce equal reports, and that freezing an event run mid-flight and
-restoring it changes nothing.  Equality is exact: the event core is a
-reimplementation, not an approximation.
+count, stream shape, faults on or off — and asserts that ``run()``
+(which jumps quiet ticks) equals the every-tick
+``begin_run``/``run_tick``/``finish_run`` loop, that object lists and
+columnar tables serve identically, and that freezing a run mid-flight
+and restoring it changes nothing.  Equality is exact: jumping is an
+optimization, not an approximation.
 """
 
 import json
@@ -31,7 +33,7 @@ configs = st.fixed_dictionaries({
 })
 
 
-def build(config, engine):
+def build(config):
     spec = replica_spec(config["kind"], max_batch=8,
                         kv_capacity_tokens=16384)
     kwargs = {}
@@ -42,7 +44,7 @@ def build(config, engine):
                                  seed=config["seed"]),
             retry_policy=RetryPolicy(timeout_s=30.0, max_attempts=4,
                                      seed=config["seed"]))
-    return fixed_fleet(spec, config["replicas"], engine=engine, **kwargs)
+    return fixed_fleet(spec, config["replicas"], **kwargs)
 
 
 def stream_pair(config):
@@ -64,18 +66,21 @@ class TestEngineEquivalence:
     @settings(max_examples=15, deadline=None)
     @given(config=configs)
     def test_event_report_equals_stepped(self, config):
+        """run() with quiet-tick jumps equals stepping every tick."""
         requests, table = stream_pair(config)
-        stepped = build(config, "stepped").run(requests)
-        event = build(config, "event").run(table)
-        assert_reports_equal(stepped, event)
+        stepped = build(config)
+        stepped.begin_run(requests)
+        while stepped.run_active:
+            stepped.run_tick()
+        assert_reports_equal(stepped.finish_run(), build(config).run(table))
 
     @settings(max_examples=8, deadline=None)
     @given(config=configs)
     def test_event_engine_accepts_object_streams(self, config):
         """begin_run converts plain request lists to a table itself."""
         requests, table = stream_pair(config)
-        from_list = build(config, "event").run(list(requests))
-        from_table = build(config, "event").run(table)
+        from_list = build(config).run(list(requests))
+        from_table = build(config).run(table)
         assert_reports_equal(from_list, from_table)
 
 
@@ -84,16 +89,16 @@ class TestEventResume:
     @given(config=configs, pause_ticks=st.integers(1, 60))
     def test_snapshot_restore_finish_is_invisible(self, config, pause_ticks):
         _, table = stream_pair(config)
-        baseline = build(config, "event").run(table)
+        baseline = build(config).run(table)
 
-        running = build(config, "event")
+        running = build(config)
         running.begin_run(table)
         for _ in range(pause_ticks):
             if not running.run_active:
                 break
             running.run_tick()
         payload = json.loads(json.dumps(running.to_state()))
-        fresh = build(config, "event")
+        fresh = build(config)
         fresh.from_state(payload)
         while fresh.run_active:
             fresh.run_tick()

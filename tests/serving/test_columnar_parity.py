@@ -1,11 +1,13 @@
-"""Columnar scheduler parity: the event core's per-replica engine.
+"""Columnar scheduler parity against the frozen object-per-request oracle.
 
-``ColumnarScheduler`` re-implements ``ContinuousBatchingScheduler`` on
-numpy request columns for throughput; its contract is bit-identical
-timelines — same floats, same preemption counts, same report — on any
-stream and any stepping cadence.  These tests pin that across the
-backends the fleet runs (TDX, bare metal, confidential GPU), through
-preemption storms, and through a snapshot/restore round-trip.
+``ColumnarScheduler`` is the production scheduler; the oracle in
+``repro.validate.oracle`` is the original object-per-request loop over
+a real paged KV cache, kept as the reference.  The contract is
+bit-identical timelines — same floats, same preemption counts, same
+report — on any stream and any stepping cadence.  These tests pin that
+across the backends the fleet runs (TDX, bare metal, confidential
+GPU), through preemption storms, and through a snapshot/restore
+round-trip.
 """
 
 import json
@@ -16,11 +18,9 @@ from repro.core.experiment import cpu_deployment, gpu_deployment
 from repro.llm.config import LLAMA2_7B
 from repro.llm.datatypes import BFLOAT16
 from repro.serving.columnar import ColumnarScheduler
-from repro.serving.scheduler import (
-    ContinuousBatchingScheduler,
-    ServeRequest,
-    poisson_stream,
-)
+from repro.serving.scheduler import ServeRequest, poisson_stream
+from repro.state.errors import StateIntegrityError
+from repro.validate.oracle import ContinuousBatchingScheduler
 
 # (label, backend, kv_capacity_tokens, max_batch, lookahead, stream kwargs)
 CASES = [
@@ -38,7 +38,7 @@ CASES = [
 
 
 def make_pair(backend, kv, batch, lookahead):
-    """(stepped reference, columnar twin) from identical configs."""
+    """(oracle reference, production scheduler) from identical configs."""
     if backend == "cgpu":
         deployment = gpu_deployment(confidential=True)
     else:
@@ -108,7 +108,7 @@ class TestColumnarParity:
                 clock += 0.25
                 scheduler.step(clock)
         # Restored-and-finished equals carried-on-and-finished equals
-        # the stepped reference.
+        # the oracle reference.
         assert_reports_identical(expected, fresh.report())
         assert_reports_identical(columnar.report(), fresh.report())
 
@@ -132,16 +132,20 @@ class TestColumnarSurface:
             columnar.finished_triple(0)
 
     def test_fingerprint_distinguishes_engines(self):
-        reference, columnar = make_pair("tdx", 65536, 4, 0)
-        ours = columnar.config_fingerprint()
-        theirs = reference.config_fingerprint()
-        assert ours.pop("engine") == "columnar"
-        assert ours == theirs
+        _, columnar = make_pair("tdx", 65536, 4, 0)
+        assert columnar.config_fingerprint() == {
+            "engine": "columnar", "model": LLAMA2_7B.name,
+            "dtype": BFLOAT16.name, "max_batch": 4, "block_size": 16,
+            "admission_lookahead": 0, "num_blocks": 65536 // 16}
 
     def test_engine_mismatch_refused_on_restore(self):
-        reference, columnar = make_pair("tdx", 65536, 4, 0)
+        """A scheduler payload without the columnar tag (the retired
+        object-per-request snapshot format) is refused."""
+        _, columnar = make_pair("tdx", 65536, 4, 0)
         columnar.submit(ServeRequest(0, 0.0, 64, 8))
         columnar.step(0.25)
-        from repro.state.errors import StateIntegrityError
-        with pytest.raises(StateIntegrityError):
-            reference.from_state(columnar.to_state())
+        payload = columnar.to_state()
+        del payload["config"]["engine"]
+        _, fresh = make_pair("tdx", 65536, 4, 0)
+        with pytest.raises(StateIntegrityError, match="engine"):
+            fresh.from_state(payload)

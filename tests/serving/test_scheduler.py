@@ -6,11 +6,8 @@ from hypothesis import given, settings, strategies as st
 from repro.core.experiment import cpu_deployment, gpu_deployment
 from repro.llm.config import LLAMA2_7B
 from repro.llm.datatypes import BFLOAT16
-from repro.serving.scheduler import (
-    ContinuousBatchingScheduler,
-    ServeRequest,
-    poisson_stream,
-)
+from repro.serving.columnar import ColumnarScheduler
+from repro.serving.scheduler import ServeRequest, poisson_stream
 
 
 def make_scheduler(kv_tokens=100_000, max_batch=16, backend="tdx"):
@@ -18,9 +15,9 @@ def make_scheduler(kv_tokens=100_000, max_batch=16, backend="tdx"):
         deployment = gpu_deployment(confidential=backend == "cgpu")
     else:
         deployment = cpu_deployment(backend, sockets_used=1)
-    return ContinuousBatchingScheduler(deployment, LLAMA2_7B, BFLOAT16,
-                                       kv_capacity_tokens=kv_tokens,
-                                       max_batch=max_batch)
+    return ColumnarScheduler(deployment, LLAMA2_7B, BFLOAT16,
+                             kv_capacity_tokens=kv_tokens,
+                             max_batch=max_batch)
 
 
 class TestBasicServing:
@@ -55,7 +52,7 @@ class TestKvConservation:
         scheduler = make_scheduler()
         scheduler.run(poisson_stream(10, rate_per_s=5.0, mean_prompt=64,
                                      mean_output=16, seed=3))
-        assert scheduler.cache.allocated_blocks == 0
+        assert scheduler.kv_free_fraction == 1.0 and scheduler.idle
 
     def test_preemption_under_memory_pressure(self):
         """A tight KV pool forces preemptions, yet everything finishes."""
@@ -65,7 +62,7 @@ class TestKvConservation:
         report = scheduler.run(requests)
         assert report.total_preemptions > 0
         assert all(o.finish_s > 0 for o in report.outcomes)
-        assert scheduler.cache.allocated_blocks == 0
+        assert scheduler.kv_free_fraction == 1.0 and scheduler.idle
 
     def test_impossible_request_rejected(self):
         scheduler = make_scheduler(kv_tokens=256)
@@ -145,4 +142,4 @@ class TestSchedulerProperties:
         report = scheduler.run(requests)
         assert len(report.outcomes) == len(requests)
         assert all(o.finish_s >= o.first_token_s for o in report.outcomes)
-        assert scheduler.cache.allocated_blocks == 0
+        assert scheduler.kv_free_fraction == 1.0 and scheduler.idle

@@ -13,19 +13,16 @@ from hypothesis import given, settings, strategies as st
 from repro.core.experiment import cpu_deployment
 from repro.llm.config import LLAMA2_7B
 from repro.llm.datatypes import BFLOAT16
-from repro.serving.scheduler import (
-    ContinuousBatchingScheduler,
-    ServeRequest,
-    poisson_stream,
-)
+from repro.serving.columnar import ColumnarScheduler
+from repro.serving.scheduler import ServeRequest, poisson_stream
 
 
 def make_scheduler(kv_tokens=4096, max_batch=4, lookahead=0):
     deployment = cpu_deployment("tdx", sockets_used=1)
-    return ContinuousBatchingScheduler(deployment, LLAMA2_7B, BFLOAT16,
-                                       kv_capacity_tokens=kv_tokens,
-                                       max_batch=max_batch,
-                                       admission_lookahead=lookahead)
+    return ColumnarScheduler(deployment, LLAMA2_7B, BFLOAT16,
+                             kv_capacity_tokens=kv_tokens,
+                             max_batch=max_batch,
+                             admission_lookahead=lookahead)
 
 
 def run_stepped(requests, horizon_s, **kwargs):
@@ -88,7 +85,7 @@ class TestStepRunParity:
         requests = poisson_stream(15, rate_per_s=4.0, mean_prompt=64,
                                   mean_output=16, seed=6)
         _, report, finished = run_stepped(requests, 0.5)
-        assert sorted(o.request.request_id for o in finished) == \
+        assert sorted(finished) == \
             sorted(o.request.request_id for o in report.outcomes)
 
     def test_step_respects_horizon_when_idle(self):
@@ -130,7 +127,7 @@ class TestPreemptionRecompute:
             # peer that arrived at the same time.
             assert outcome.finish_s >= min(o.finish_s
                                            for o in report.outcomes)
-        assert scheduler.cache.allocated_blocks == 0
+        assert scheduler.kv_free_fraction == 1.0 and scheduler.idle
 
     def test_preemption_counts_conserved_across_step_cadences(self):
         requests = [ServeRequest(i, 0.0, 200, 120) for i in range(8)]

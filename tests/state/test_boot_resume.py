@@ -24,21 +24,32 @@ STREAM = poisson_arrivals(20, rate_per_s=0.8, mean_prompt=128,
                           mean_output=48, seed=5)
 
 
-def _fleet(engine):
-    return fixed_fleet(SPEC, 2, faults=FAULTS, retry_policy=RETRY,
-                       engine=engine)
+def _fleet():
+    return fixed_fleet(SPEC, 2, faults=FAULTS, retry_policy=RETRY)
 
 
-def _requests(engine):
-    return RequestTable.from_requests(STREAM) if engine == "event" else STREAM
+def _requests(driver):
+    """The object stream for the every-tick (``stepped``) baseline, its
+    columnar table for the ``run()`` (``event``) baseline."""
+    return RequestTable.from_requests(STREAM) if driver == "event" else STREAM
+
+
+def _baseline(driver):
+    fleet = _fleet()
+    if driver == "event":
+        return fleet.run(_requests(driver))
+    fleet.begin_run(_requests(driver))
+    while fleet.run_active:
+        fleet.run_tick()
+    return fleet.finish_run()
 
 
 class TestMidBootResume:
-    @pytest.mark.parametrize("engine", ["stepped", "event"])
-    def test_mid_boot_snapshot_restores_bit_identical(self, engine):
-        baseline = _fleet(engine).run(_requests(engine)).to_dict()
-        running = _fleet(engine)
-        running.begin_run(_requests(engine))
+    @pytest.mark.parametrize("driver", ["stepped", "event"])
+    def test_mid_boot_snapshot_restores_bit_identical(self, driver):
+        baseline = _baseline(driver).to_dict()
+        running = _fleet()
+        running.begin_run(_requests(driver))
         snapshots = {}
         while running.run_active:
             running.run_tick()
@@ -54,15 +65,15 @@ class TestMidBootResume:
         # every phase (including a re-entered one) gets a snapshot.
         assert set(snapshots) == set(BOOT_PHASES)
         for phase, payload in snapshots.items():
-            fresh = _fleet(engine)
+            fresh = _fleet()
             fresh.from_state(payload)
             while fresh.run_active:
                 fresh.run_tick()
             assert fresh.finish_run().to_dict() == baseline, phase
 
     def test_restored_replica_recovers_boot_phase(self):
-        running = _fleet("stepped")
-        running.begin_run(_requests("stepped"))
+        running = _fleet()
+        running.begin_run(STREAM)
         while running.run_active:
             running.run_tick()
             now = running.run_clock_s
@@ -70,7 +81,7 @@ class TestMidBootResume:
             if phase is not None and phase != BOOT_PHASES[0]:
                 break
         payload = json.loads(json.dumps(running.to_state()))
-        fresh = _fleet("stepped")
+        fresh = _fleet()
         fresh.from_state(payload)
         # Phase identity is derived from ready_s, which round-trips:
         # the restored replica agrees at the snapshot instant.

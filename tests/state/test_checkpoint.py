@@ -101,8 +101,28 @@ class TestRestoreGuards:
         running.begin_run(_stream())
         running.run_tick()
         payload = snapshot(running)
-        payload["state"]["run"]["pending"] = [987654]
+        held = json.loads(json.dumps(payload))
+        held["state"]["run"]["held"] = [987654]
         with pytest.raises(StateIntegrityError, match="unknown request"):
+            restore(_fleet(), held)
+        head = json.loads(json.dumps(payload))
+        head["state"]["run"]["pending_head"] = len(_stream()) + 1
+        with pytest.raises(StateIntegrityError, match="out of range"):
+            restore(_fleet(), head)
+
+    @pytest.mark.parametrize("engine", ["stepped", None])
+    def test_per_object_run_snapshot_refused(self, engine):
+        """Only columnar ``"engine": "event"`` payloads restore; one
+        tagged ``stepped``, or carrying no engine tag, is refused."""
+        running = _fleet()
+        running.begin_run(_stream())
+        running.run_tick()
+        payload = snapshot(running)
+        if engine is None:
+            del payload["state"]["engine"]
+        else:
+            payload["state"]["engine"] = engine
+        with pytest.raises(StateIntegrityError, match="engine"):
             restore(_fleet(), payload)
 
 

@@ -7,15 +7,11 @@ import pytest
 from repro.core.experiment import cpu_deployment
 from repro.llm.config import LLAMA2_7B
 from repro.llm.datatypes import BFLOAT16
-from repro.serving import (
-    ColumnarScheduler,
-    ContinuousBatchingScheduler,
-    ServeRequest,
-    TenancyConfig,
-)
+from repro.serving import ColumnarScheduler, ServeRequest, TenancyConfig
+from repro.validate.oracle import ContinuousBatchingScheduler
 
 
-def make_scheduler(cls=ContinuousBatchingScheduler, tenancy=None,
+def make_scheduler(cls=ColumnarScheduler, tenancy=None,
                    kv_tokens=4096, max_batch=4, lookahead=0):
     return cls(cpu_deployment("tdx", sockets_used=1), LLAMA2_7B, BFLOAT16,
                kv_capacity_tokens=kv_tokens, max_batch=max_batch,
@@ -23,7 +19,8 @@ def make_scheduler(cls=ContinuousBatchingScheduler, tenancy=None,
 
 
 def free_and_total_blocks(scheduler):
-    """KV pool occupancy for either engine (object cache vs counter)."""
+    """KV pool occupancy of the scheduler (block counter) or the oracle
+    (real paged cache)."""
     if isinstance(scheduler, ColumnarScheduler):
         return scheduler._free_blocks, scheduler.num_blocks
     return scheduler.cache.free_blocks, scheduler.cache.num_blocks
@@ -161,8 +158,7 @@ class TestKvIsolation:
 
 
 class TestSnapshotRoundTrip:
-    @pytest.mark.parametrize("cls", [ContinuousBatchingScheduler,
-                                     ColumnarScheduler])
+    @pytest.mark.parametrize("cls", [ColumnarScheduler])
     def test_wfq_prefix_snapshot_mid_run(self, cls):
         tenancy = TenancyConfig(admission="wfq",
                                 weights=((0, 3.0), (1, 1.0)),

@@ -48,7 +48,7 @@ class TestSpecIdentity:
 class TestReportCounters:
     def test_replica_usage_carries_prefix_counters(self):
         report = run_tenant_fleet(population(), kind="tdx", count=2,
-                                  engine="event", admission="fcfs",
+                                  admission="fcfs",
                                   kv_isolation="shared-prefix",
                                   max_batch=8, kv_capacity_tokens=16384)
         assert report.prefix_misses == 2  # tenant 0 pins on each replica
@@ -59,7 +59,7 @@ class TestReportCounters:
     def test_breakdown_partitions_requests_and_bill(self):
         pop = population()
         report = run_tenant_fleet(pop, kind="tdx", count=2,
-                                  engine="stepped", admission="wfq",
+                                  admission="wfq",
                                   max_batch=8, kv_capacity_tokens=16384)
         assert sum(u.requests for u in report.tenants) == pop.total_requests
         assert report.total_bill_cents == round(
@@ -79,10 +79,13 @@ class TestShedPriorityParity:
                                         seed=9),
             "degradation": DegradationPolicy(mode="shed", max_hold_s=1.0),
         }
-        stepped = fixed_fleet(spec, 2, engine="stepped",
-                              **kwargs).run(pop.stream())
-        event = fixed_fleet(spec, 2, engine="event",
-                            **kwargs).run(pop.table())
+        # Every tick on the object stream vs run() on the table.
+        stepped = fixed_fleet(spec, 2, **kwargs)
+        stepped.begin_run(pop.stream())
+        while stepped.run_active:
+            stepped.run_tick()
+        stepped = stepped.finish_run()
+        event = fixed_fleet(spec, 2, **kwargs).run(pop.table())
         ledger = [(s.request.request_id, s.request.priority, s.time_s,
                    s.reason, s.attempts) for s in stepped.shed]
         twin = [(s.request.request_id, s.request.priority, s.time_s,
