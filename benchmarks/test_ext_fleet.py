@@ -21,7 +21,7 @@ KINDS = ("tdx", "cgpu")
 
 
 def regenerate() -> dict:
-    requests = trace_replay(list(CAPACITY_TRACE))
+    requests = trace_replay(CAPACITY_TRACE)
     specs = {kind: replica_spec(kind, max_batch=16,
                                 kv_capacity_tokens=65536) for kind in KINDS}
     plans = capacity_sweep(list(specs.values()), requests,

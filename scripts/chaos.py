@@ -51,7 +51,7 @@ from repro.faults.sweep import (  # noqa: E402
 )
 from repro.fleet import (  # noqa: E402
     fixed_fleet,
-    poisson_arrivals,
+    poisson_table,
     replica_spec,
 )
 
@@ -134,8 +134,8 @@ def cmd_run(args: argparse.Namespace) -> int:
                                  max_attempts=args.max_attempts,
                                  seed=args.seed),
         degradation=degradation)
-    requests = poisson_arrivals(args.requests, args.rate, args.mean_prompt,
-                                args.mean_output, seed=args.seed)
+    requests = poisson_table(args.requests, args.rate, args.mean_prompt,
+                             args.mean_output, seed=args.seed)
     report = fleet.run(requests)
 
     print(f"submitted          {report.submitted}  "

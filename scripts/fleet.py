@@ -46,7 +46,7 @@ from repro.fleet import (  # noqa: E402
     ROUTER_KINDS,
     ReactiveAutoscaler,
     iter_capacity_points,
-    make_arrivals,
+    make_arrival_table,
     make_router,
     replica_spec,
     trace_replay,
@@ -105,9 +105,9 @@ def _print_report(report: FleetReport, slo_ttft_s: float) -> None:
 
 
 def _arrivals(args: argparse.Namespace):
-    return make_arrivals(args.arrivals, args.count, args.rate,
-                         mean_prompt=args.mean_prompt,
-                         mean_output=args.mean_output, seed=args.seed)
+    return make_arrival_table(args.arrivals, args.count, args.rate,
+                              mean_prompt=args.mean_prompt,
+                              mean_output=args.mean_output, seed=args.seed)
 
 
 def _boot(args: argparse.Namespace, kind: str):
@@ -193,7 +193,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                   f"(SLO-met sizes prune the rest of their kind)")
             by_index = runner.run(on_row=lambda point, row: emit(row))
             quarantined = runner.quarantined()
-            requests = trace_replay(list(CAPACITY_TRACE))
+            requests = trace_replay(CAPACITY_TRACE)
             by_kind: dict[str, list[CapacityPoint]] = {k: [] for k in kinds}
             for index in sorted(by_index):
                 point = CapacityPoint(**by_index[index])
@@ -205,7 +205,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             if args.arrivals:
                 requests = _arrivals(args)
             else:
-                requests = trace_replay(list(CAPACITY_TRACE))
+                requests = trace_replay(CAPACITY_TRACE)
             plans = {}
             for kind in kinds:
                 spec = replica_spec(

@@ -42,16 +42,7 @@ from .pipeline import (
     ProvisioningReport,
     stream_cipher,
 )
-from .profiling import (
-    CacheStats,
-    TimerStat,
-    cache_report,
-    cache_stats,
-    reset_caches,
-    reset_timers,
-    timed,
-    timer_stats,
-)
+from .profiling import CacheStats, cache_report, cache_stats, reset_caches
 from .summary import (
     ALL_SUMMARIES,
     CGPU_SUMMARY,
@@ -83,8 +74,7 @@ __all__ = [
     "practical_mechanisms",
     "ConfidentialPipeline", "PipelineResponse", "ProvisioningReport",
     "stream_cipher",
-    "CacheStats", "TimerStat", "cache_report", "cache_stats",
-    "reset_caches", "reset_timers", "timed", "timer_stats",
+    "CacheStats", "cache_report", "cache_stats", "reset_caches",
     "ALL_SUMMARIES", "CGPU_SUMMARY", "SGX_SUMMARY", "TDX_SUMMARY",
     "SystemSummary", "Trend", "render_summary_table",
     "is_monotonic", "metric_series", "overhead_series",

@@ -1,20 +1,15 @@
-"""Profiling layer: cache statistics and hot-path timers.
+"""Profiling layer: cache statistics for the simulator's memoized hot paths.
 
 The simulator memoizes its hot paths — op-graph construction
 (``op_graph``, ``affine_decode_graph`` in :mod:`repro.llm.graph`),
 scalar step costs (``prefill_step_cost``, ``decode_step_cost`` in
 :mod:`repro.engine.simulator`) and the vectorized decode-cost engine
 (``decode_cost_engine`` in :mod:`repro.engine.vectorized`).  This module
-is the front door to those caches plus a small wall-clock timer registry
-used by ``scripts/bench.py`` to track simulator performance across PRs
-(the ``BENCH_sim.json`` trajectory file).
+is the front door to those caches: their hit/miss statistics, a
+human-readable report, and a reset for cold-path measurements.
 """
 
 from __future__ import annotations
-
-import time
-from contextlib import contextmanager
-from dataclasses import dataclass, field
 
 from ..memo import (
     CacheStats,
@@ -23,10 +18,7 @@ from ..memo import (
     registered_caches,
 )
 
-__all__ = [
-    "CacheStats", "TimerStat", "cache_stats", "reset_caches",
-    "cache_report", "timed", "timer_stats", "reset_timers",
-]
+__all__ = ["CacheStats", "cache_stats", "reset_caches", "cache_report"]
 
 
 def cache_stats() -> dict[str, CacheStats]:
@@ -54,48 +46,3 @@ def cache_report() -> str:
             f"hit_rate={stats.hit_rate:6.1%} size={stats.size}/{stats.maxsize}"
             f" evictions={stats.evictions}")
     return "\n".join(lines)
-
-
-@dataclass
-class TimerStat:
-    """Accumulated wall-clock time of one named code region."""
-
-    name: str
-    calls: int = 0
-    total_s: float = 0.0
-    _samples: list[float] = field(default_factory=list, repr=False)
-
-    @property
-    def mean_s(self) -> float:
-        return self.total_s / self.calls if self.calls else 0.0
-
-    @property
-    def min_s(self) -> float:
-        return min(self._samples) if self._samples else 0.0
-
-
-_TIMERS: dict[str, TimerStat] = {}
-
-
-@contextmanager
-def timed(name: str):
-    """Accumulate the wall-clock time of the ``with`` body under ``name``."""
-    stat = _TIMERS.setdefault(name, TimerStat(name))
-    start = time.perf_counter()
-    try:
-        yield stat
-    finally:
-        elapsed = time.perf_counter() - start
-        stat.calls += 1
-        stat.total_s += elapsed
-        stat._samples.append(elapsed)
-
-
-def timer_stats() -> dict[str, TimerStat]:
-    """All accumulated timers, by name."""
-    return dict(_TIMERS)
-
-
-def reset_timers() -> None:
-    """Drop every accumulated timer."""
-    _TIMERS.clear()

@@ -11,22 +11,14 @@ capacity-planning sweeps across {CPU-TEE, cGPU} fleets.
 
 from .arrivals import (
     ARRIVAL_KINDS,
-    diurnal_arrivals,
-    make_arrivals,
-    mmpp_arrivals,
-    poisson_arrivals,
-    trace_replay,
-)
-from .retryq import RetryQueue
-from .table import (
-    ColumnarOutcomes,
-    OutcomeLog,
-    RequestTable,
     diurnal_table,
     make_arrival_table,
     mmpp_table,
     poisson_table,
+    trace_replay,
 )
+from .retryq import RetryQueue
+from .table import ColumnarOutcomes, OutcomeLog, RequestTable
 from .autoscaler import AutoscalerConfig, ReactiveAutoscaler, ScaleEvent
 from .cluster import DEFAULT_TICK_S, FleetSimulator, fixed_fleet
 from .planner import (
@@ -76,16 +68,12 @@ __all__ = [
     "capacity_plan",
     "capacity_sweep",
     "iter_capacity_points",
-    "diurnal_arrivals",
     "diurnal_table",
     "evaluate_fleet",
     "fixed_fleet",
     "make_arrival_table",
-    "make_arrivals",
     "make_router",
-    "mmpp_arrivals",
     "mmpp_table",
-    "poisson_arrivals",
     "poisson_table",
     "replica_spec",
     "trace_replay",

@@ -11,6 +11,7 @@ objective.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from ..faults.resilience import DegradationPolicy, RetryPolicy
@@ -88,7 +89,7 @@ class CapacityPlan:
 
 
 def evaluate_fleet(spec: ReplicaSpec, count: int,
-                   requests: list[ServeRequest], slo_ttft_s: float,
+                   requests: Sequence[ServeRequest], slo_ttft_s: float,
                    percentile: float = 99.0,
                    router: Router | None = None,
                    tick_s: float = DEFAULT_TICK_S,
@@ -116,7 +117,7 @@ def evaluate_fleet(spec: ReplicaSpec, count: int,
     return point, report
 
 
-def capacity_plan(spec: ReplicaSpec, requests: list[ServeRequest],
+def capacity_plan(spec: ReplicaSpec, requests: Sequence[ServeRequest],
                   slo_ttft_s: float, percentile: float = 99.0,
                   max_replicas: int = 8,
                   tick_s: float = DEFAULT_TICK_S,
@@ -149,7 +150,7 @@ def capacity_plan(spec: ReplicaSpec, requests: list[ServeRequest],
                         replicas_needed=needed)
 
 
-def iter_capacity_points(spec: ReplicaSpec, requests: list[ServeRequest],
+def iter_capacity_points(spec: ReplicaSpec, requests: Sequence[ServeRequest],
                          slo_ttft_s: float, percentile: float = 99.0,
                          max_replicas: int = 8,
                          tick_s: float = DEFAULT_TICK_S,
@@ -173,7 +174,7 @@ def iter_capacity_points(spec: ReplicaSpec, requests: list[ServeRequest],
             break
 
 
-def capacity_sweep(specs: list[ReplicaSpec], requests: list[ServeRequest],
+def capacity_sweep(specs: list[ReplicaSpec], requests: Sequence[ServeRequest],
                    slo_ttft_s: float, percentile: float = 99.0,
                    max_replicas: int = 8,
                    tick_s: float = DEFAULT_TICK_S) -> dict[str, CapacityPlan]:

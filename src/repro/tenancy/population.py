@@ -9,32 +9,23 @@ the others' requests), and the per-tenant streams are merged by
 ``(arrival_s, tenant_id, local_index)`` with global request ids
 assigned in merge order.
 
-A population has two views: :meth:`~TenantPopulation.table` builds the
-columnar :class:`~repro.fleet.table.RequestTable` the fleet runs on,
-and :meth:`~TenantPopulation.stream` materializes value-equal
-:class:`~repro.serving.scheduler.ServeRequest` objects (single-replica
-schedulers and the reference oracle take those) — from the *same*
-per-tenant draw lists, merged by an ``np.lexsort`` over the same keys,
-so the two views are bit-identical by construction.
+:meth:`~TenantPopulation.table` returns the merged stream as one
+:class:`~repro.fleet.table.RequestTable`.  Each tenant's requests come
+from :func:`~repro.fleet.arrivals.make_arrival_table`, so the seeded
+draw order of every arrival process lives only in
+:mod:`repro.fleet.arrivals`.
 """
 
 from __future__ import annotations
 
-import random
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from ..fleet.arrivals import (
-    ARRIVAL_KINDS,
-    _diurnal_times,
-    _mmpp_times,
-    _poisson_times,
-    _sample_sizes,
-)
+from ..fleet.arrivals import ARRIVAL_KINDS, make_arrival_table
 from ..fleet.table import RequestTable
 from ..serving.admission import TenancyConfig
-from ..serving.scheduler import ServeRequest
 
 
 def _tenant_seed(seed: int, tenant_id: int) -> int:
@@ -52,7 +43,7 @@ class TenantSpec:
         requests: Requests this tenant submits over the run.
         rate_per_s: Tenant arrival rate (``mmpp`` reads it as the calm
             rate with a 3x burst, matching
-            :func:`repro.fleet.arrivals.make_arrivals`).
+            :func:`repro.fleet.arrivals.make_arrival_table`).
         arrival: One of :data:`repro.fleet.arrivals.ARRIVAL_KINDS`.
         mean_prompt: Mean prompt length (lognormal sizes).
         mean_output: Mean output length.
@@ -80,8 +71,8 @@ class TenantSpec:
             raise ValueError("tenant_id must be >= 0")
         if self.requests < 1:
             raise ValueError("requests must be >= 1")
-        if self.rate_per_s <= 0:
-            raise ValueError("rate_per_s must be positive")
+        if not math.isfinite(self.rate_per_s) or self.rate_per_s <= 0:
+            raise ValueError("rate_per_s must be finite and positive")
         if self.arrival not in ARRIVAL_KINDS:
             raise ValueError(f"unknown arrival kind {self.arrival!r}; "
                              f"expected one of {ARRIVAL_KINDS}")
@@ -93,33 +84,6 @@ class TenantSpec:
             raise ValueError("slo_ttft_s must be positive")
         if self.prefix_tokens < 0:
             raise ValueError("prefix_tokens must be >= 0")
-
-
-def _tenant_draws(spec: TenantSpec, seed: int,
-                  ) -> tuple[list[float], list[int], list[int]]:
-    """One tenant's (arrivals, prompts, outputs) from its own RNG.
-
-    Uses the same ``_*_times`` generators and ``_sample_sizes`` shape
-    as :mod:`repro.fleet.arrivals` (arrival instants first, then
-    sizes), so a single-tenant population reproduces ``make_arrivals``
-    exactly when seeded identically.
-    """
-    rng = random.Random(_tenant_seed(seed, spec.tenant_id))
-    if spec.arrival == "poisson":
-        times = _poisson_times(spec.requests, spec.rate_per_s, rng)
-    elif spec.arrival == "mmpp":
-        times = _mmpp_times(spec.requests, spec.rate_per_s,
-                            3.0 * spec.rate_per_s, 20.0, 5.0, rng)
-    else:
-        times = _diurnal_times(spec.requests, spec.rate_per_s, 240.0, 4.0,
-                               rng)
-    prompts, outputs = [], []
-    for _ in times:
-        prompt, output = _sample_sizes(rng, spec.mean_prompt,
-                                       spec.mean_output)
-        prompts.append(prompt)
-        outputs.append(output)
-    return times, prompts, outputs
 
 
 @dataclass(frozen=True)
@@ -158,62 +122,37 @@ class TenantPopulation:
     def total_requests(self) -> int:
         return sum(spec.requests for spec in self.tenants)
 
-    # -- stream twins ---------------------------------------------------------
-
-    def _merged(self) -> list[tuple[float, int, int]]:
-        """Merge order as (arrival, tenant, local) triples, sorted."""
-        keys = []
-        for spec in sorted(self.tenants, key=lambda s: s.tenant_id):
-            times, _, _ = _tenant_draws(spec, self.seed)
-            keys.extend((arrival, spec.tenant_id, local)
-                        for local, arrival in enumerate(times))
-        keys.sort()
-        return keys
-
-    def stream(self) -> list[ServeRequest]:
-        """The merged request stream as ``ServeRequest`` objects."""
-        draws = {spec.tenant_id: _tenant_draws(spec, self.seed)
-                 for spec in self.tenants}
-        priorities = {spec.tenant_id: spec.priority for spec in self.tenants}
-        requests = []
-        for request_id, (arrival, tenant_id, local) in enumerate(
-                self._merged()):
-            _, prompts, outputs = draws[tenant_id]
-            requests.append(ServeRequest(
-                request_id=request_id, arrival_s=arrival,
-                prompt_tokens=prompts[local], output_tokens=outputs[local],
-                priority=priorities[tenant_id], tenant_id=tenant_id))
-        return requests
+    # -- request stream -------------------------------------------------------
 
     def table(self) -> RequestTable:
-        """The bit-identical columnar twin of :meth:`stream`.
+        """The merged request stream.
 
-        Merges the same per-tenant draw lists with a stable
-        ``np.lexsort`` over ``(arrival, tenant, local)`` — the exact
-        key order :meth:`stream` sorts by — then assigns global ids
-        0..n-1 in merge order.
+        Each tenant's stream is one ``make_arrival_table`` draw from its
+        own derived seed; a stable ``np.lexsort`` over
+        ``(arrival, tenant, local)`` merges them, then global ids
+        0..n-1 are assigned in merge order.
         """
-        arrivals, tenants, locals_, prompts, outputs, priorities = (
-            [], [], [], [], [], [])
-        for spec in sorted(self.tenants, key=lambda s: s.tenant_id):
-            times, tenant_prompts, tenant_outputs = _tenant_draws(
-                spec, self.seed)
-            arrivals.extend(times)
-            tenants.extend([spec.tenant_id] * len(times))
-            locals_.extend(range(len(times)))
-            prompts.extend(tenant_prompts)
-            outputs.extend(tenant_outputs)
-            priorities.extend([spec.priority] * len(times))
-        order = np.lexsort((np.asarray(locals_, dtype=np.int64),
-                            np.asarray(tenants, dtype=np.int64),
-                            np.asarray(arrivals, dtype=np.float64)))
+        ordered = sorted(self.tenants, key=lambda s: s.tenant_id)
+        tables = [make_arrival_table(spec.arrival, spec.requests,
+                                     spec.rate_per_s, spec.mean_prompt,
+                                     spec.mean_output,
+                                     seed=_tenant_seed(self.seed,
+                                                       spec.tenant_id))
+                  for spec in ordered]
+        arrivals = np.concatenate([t.arrival_s for t in tables])
+        prompts = np.concatenate([t.prompt_tokens for t in tables])
+        outputs = np.concatenate([t.output_tokens for t in tables])
+        locals_ = np.concatenate([t.request_id for t in tables])
+        tenants = np.repeat([spec.tenant_id for spec in ordered],
+                            [spec.requests for spec in ordered])
+        priorities = np.repeat([spec.priority for spec in ordered],
+                               [spec.requests for spec in ordered])
+        order = np.lexsort((locals_, tenants, arrivals))
         return RequestTable(
             request_id=np.arange(len(order), dtype=np.int64),
-            arrival_s=np.asarray(arrivals, dtype=np.float64)[order],
-            prompt_tokens=np.asarray(prompts, dtype=np.int64)[order],
-            output_tokens=np.asarray(outputs, dtype=np.int64)[order],
-            priority=np.asarray(priorities, dtype=np.int64)[order],
-            tenant_id=np.asarray(tenants, dtype=np.int64)[order])
+            arrival_s=arrivals[order], prompt_tokens=prompts[order],
+            output_tokens=outputs[order], priority=priorities[order],
+            tenant_id=tenants[order])
 
     # -- policy builder -------------------------------------------------------
 

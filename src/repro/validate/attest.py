@@ -23,8 +23,8 @@ whose sum *is* the boot latency.  Its acceptance contract:
   restart edges bound every jump).
 * ``attest.mid_boot_resume_parity`` — a fleet snapshotted with a
   replica in *each* of the five boot phases (including after a
-  mid-boot attestation restart) restores bit-identically, from an
-  object stream and from a columnar table.
+  mid-boot attestation restart) restores bit-identically, from a
+  ``ServeRequest`` list and from a table.
 * ``golden.attest_tax`` — committed snapshot of the attestation-tax
   table: $/Mtok and p99 TTFT deltas of phased vs legacy boots on the
   capacity and chaos headlines, plus the per-phase boot breakdown.
@@ -41,7 +41,7 @@ from ..fleet import (
     ReactiveAutoscaler,
     RequestTable,
     fixed_fleet,
-    poisson_arrivals,
+    poisson_table,
     replica_spec,
 )
 from ..llm.config import LLAMA2_7B, LLAMA2_70B
@@ -75,20 +75,20 @@ def _phased_spec(kind: str, **overrides):
 
 
 def _stream(requests: int = 24, rate_per_s: float = 1.2, seed: int = 11):
-    return poisson_arrivals(requests, rate_per_s=rate_per_s,
-                            mean_prompt=128, mean_output=48, seed=seed)
+    return poisson_table(requests, rate_per_s=rate_per_s,
+                         mean_prompt=128, mean_output=48, seed=seed)
 
 
 #: The two drivers every attest regime runs through: the every-tick
-#: loop on the object stream, and ``run()`` (quiet ticks jumped) on its
-#: columnar table.
+#: loop on the stream as a ``ServeRequest`` list, and ``run()`` (quiet
+#: ticks jumped) on the table itself.
 _DRIVERS = ("ticked", "jumped")
 
 
-def _serve(driver: str, fleet, requests):
+def _serve(driver: str, fleet, table: RequestTable):
     if driver == "ticked":
-        return ticked_run(fleet, requests)[0]
-    return fleet.run(RequestTable.from_requests(requests))
+        return ticked_run(fleet, list(table))[0]
+    return fleet.run(table)
 
 
 def _compare(label: str, reference: dict, candidate: dict) -> None:
@@ -296,10 +296,9 @@ def mid_boot_resume_parity(ctx: AuditContext) -> str:
         return fixed_fleet(spec, 2, faults=faults, retry_policy=retry)
 
     stream = _stream(requests=20, rate_per_s=0.8, seed=5)
-    baseline = ticked_run(fleet(), stream)[0].to_dict()
+    baseline = ticked_run(fleet(), list(stream))[0].to_dict()
     restored = 0
-    for label, requests in (("stream", stream),
-                            ("table", RequestTable.from_requests(stream))):
+    for label, requests in (("stream", list(stream)), ("table", stream)):
         _compare(f"{label} run() vs every tick", baseline,
                  fleet().run(requests).to_dict())
         running = fleet()

@@ -8,8 +8,8 @@ references:
 
 * the every-tick ``begin_run``/``run_tick``/``finish_run`` loop, which
   executes every tick of the grid and so never takes the jump, fed the
-  stream as plain ``ServeRequest`` objects, while ``run()`` is fed the
-  columnar :class:`~repro.fleet.table.RequestTable` twin; and
+  stream as a plain ``ServeRequest`` list, while ``run()`` is fed the
+  :class:`~repro.fleet.table.RequestTable` itself; and
 * the frozen object-per-request oracle (:mod:`repro.validate.oracle`),
   which the production scheduler must match operation for operation —
   pinned by ``serving.columnar_reference_parity``.
@@ -18,7 +18,7 @@ The checks here cover the first reference:
 
 * ``fleet.event_core_parity`` (differential) — across fault-free,
   faulted, autoscaled and spill-router configurations, ``run(table)``
-  equals the every-tick loop on the object stream and equals
+  equals the every-tick loop on ``list(table)`` and equals
   ``run(list)``: report dicts and raw per-request outcome floats,
   float equality, no tolerance.  The check also requires that some
   configuration actually jumped ticks, so the comparison is not
@@ -41,7 +41,6 @@ from ..fleet import (
     ReactiveAutoscaler,
     RequestTable,
     fixed_fleet,
-    poisson_arrivals,
     poisson_table,
     replica_spec,
 )
@@ -102,18 +101,16 @@ def compare_reports(label: str, reference: FleetReport,
     return len(reference.outcomes)
 
 
-def ticked_vs_jumped(label: str, factory, requests,
-                     table: RequestTable | None = None,
+def ticked_vs_jumped(label: str, factory, table: RequestTable,
                      ) -> tuple[FleetReport, int]:
     """Run one fleet config three ways and require identical reports.
 
-    The every-tick loop on the object stream is the reference;
-    ``run(table)`` and ``run(list)`` must both reproduce it.  Returns
-    the reference report and how many ticks ``run(table)`` jumped.
+    The every-tick loop on the stream as a ``ServeRequest`` list is the
+    reference; ``run(table)`` and ``run(list)`` must both reproduce it.
+    Returns the reference report and how many ticks ``run(table)``
+    jumped.
     """
-    requests = list(requests)
-    if table is None:
-        table = RequestTable.from_requests(requests)
+    requests = list(table)
     reference, spanned = ticked_run(factory(), requests)
     jumped, executed = jumped_run(factory(), table)
     compare_reports(f"{label} (run(table) vs every tick)", reference, jumped)
@@ -126,13 +123,9 @@ def _tdx_spec():
     return replica_spec("tdx", max_batch=16, kv_capacity_tokens=65536)
 
 
-def _fleet_stream():
-    """Object stream and its columnar twin (same seed, same draws)."""
-    requests = poisson_arrivals(40, rate_per_s=4.0, mean_prompt=128,
-                                mean_output=32, seed=11)
-    table = poisson_table(40, rate_per_s=4.0, mean_prompt=128,
-                          mean_output=32, seed=11)
-    return requests, table
+def _fleet_stream() -> RequestTable:
+    return poisson_table(40, rate_per_s=4.0, mean_prompt=128,
+                         mean_output=32, seed=11)
 
 
 def _configs() -> list[tuple[str, "callable"]]:
@@ -173,14 +166,10 @@ def _configs() -> list[tuple[str, "callable"]]:
 def event_core_parity(ctx: AuditContext) -> str:
     """run() with quiet-tick jumps reproduces the every-tick loop
     bit-identically across all fleet regimes, from tables and lists."""
-    requests, table = _fleet_stream()
-    for i, request in enumerate(requests):
-        if request != table.request(i):
-            raise CheckFailure(
-                f"columnar table row {i} diverged from the object stream")
+    table = _fleet_stream()
     checked = jumps = 0
     for label, factory in _configs():
-        reference, jumped = ticked_vs_jumped(label, factory, requests, table)
+        reference, jumped = ticked_vs_jumped(label, factory, table)
         checked += len(reference.outcomes)
         jumps += jumped
     if not jumps:
@@ -193,7 +182,7 @@ def event_core_parity(ctx: AuditContext) -> str:
        layers=("fleet", "state", "serving"))
 def event_core_resume_parity(ctx: AuditContext) -> str:
     """Snapshot/restore round-trips the columnar run state exactly."""
-    requests, table = _fleet_stream()
+    table = _fleet_stream()
     resumed_reports = 0
     for label, factory in _configs():
         baseline = factory().run(table)
@@ -216,7 +205,7 @@ def event_core_resume_parity(ctx: AuditContext) -> str:
                         running.finish_run())
         # And the jumped baseline still matches the every-tick loop.
         compare_reports(f"{label} (vs every tick)",
-                        ticked_run(factory(), requests)[0], baseline)
+                        ticked_run(factory(), list(table))[0], baseline)
         resumed_reports += 1
     # Payloads of the retired per-object run format must be refused.
     factory = _configs()[0][1]

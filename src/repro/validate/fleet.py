@@ -35,7 +35,7 @@ from dataclasses import replace
 from ..fleet import (
     capacity_sweep,
     fixed_fleet,
-    poisson_arrivals,
+    poisson_table,
     replica_spec,
     trace_replay,
 )
@@ -381,8 +381,8 @@ def columnar_reference_parity(ctx: AuditContext) -> str:
 # -- fleet metamorphic checks -------------------------------------------------
 
 def _fleet_stream():
-    return poisson_arrivals(40, rate_per_s=4.0, mean_prompt=128,
-                            mean_output=32, seed=11)
+    return poisson_table(40, rate_per_s=4.0, mean_prompt=128,
+                         mean_output=32, seed=11)
 
 
 def _tdx_spec():
@@ -453,7 +453,7 @@ CAPACITY_SLO_TTFT_S = 2.0
 @_golden("fleet_capacity", "Fleet capacity plan: replicas and $/Mtok at SLO",
          layers=("fleet", "serving", "cost"))
 def fleet_capacity(ctx: AuditContext) -> dict[str, float]:
-    requests = trace_replay(list(CAPACITY_TRACE))
+    requests = trace_replay(CAPACITY_TRACE)
     specs = [replica_spec("tdx", max_batch=16, kv_capacity_tokens=65536),
              replica_spec("cgpu", max_batch=16, kv_capacity_tokens=65536)]
     plans = capacity_sweep(specs, requests, slo_ttft_s=CAPACITY_SLO_TTFT_S,

@@ -38,7 +38,7 @@ from ..fleet import (
     FleetSimulator,
     ReactiveAutoscaler,
     fixed_fleet,
-    poisson_arrivals,
+    poisson_table,
     replica_spec,
 )
 from ..state import (
@@ -58,8 +58,8 @@ def _spec(kind: str = "tdx"):
 
 
 def _stream(n: int = 10, seed: int = 11):
-    return poisson_arrivals(n, rate_per_s=4.0, mean_prompt=128,
-                            mean_output=32, seed=seed)
+    return poisson_table(n, rate_per_s=4.0, mean_prompt=128,
+                         mean_output=32, seed=seed)
 
 
 def _fleets() -> list[tuple[str, "callable"]]:

@@ -6,15 +6,16 @@ isolation modes, and per-tenant billing on top of the fleet core.  Its
 acceptance contract mirrors the fleet-core one (:mod:`.event`): every
 tenancy configuration — WFQ or FCFS, shared, partitioned or
 prefix-sharing KV — must reproduce bit-identically whether ``run()``
-jumps quiet ticks or the every-tick loop steps through them, and from
-the population's object stream or its columnar table, while the
+jumps quiet ticks or the every-tick loop steps through them, and
+whether the population's table is run as a table or as a
+``ServeRequest`` list, while the
 tenant ledgers *exactly* partition the fleet bill and conserve every
 submitted request across fault and degradation regimes.  Every
 scheduler-level tenancy policy is also diffed against the frozen
 oracle by ``serving.columnar_reference_parity``.
 
-* ``tenancy.engine_parity`` — stream/table twins and full
-  admission x isolation regime grid, fault-free and faulted, compared
+* ``tenancy.engine_parity`` — the full admission x isolation regime
+  grid, fault-free and faulted, compared
   as raw report dicts and per-request timelines (float equality)
   between ``run()`` and the every-tick loop.
 * ``tenancy.billing_conservation`` — per-tenant invoices in integer
@@ -95,10 +96,10 @@ def _regimes(population: TenantPopulation):
 
 
 def _run_pair(population, spec, fleet_kwargs):
-    """The population through the every-tick loop (object stream) and
-    through ``run()`` (columnar table); raw FleetReports."""
+    """The population through the every-tick loop (``ServeRequest``
+    list) and through ``run()`` (table); raw FleetReports."""
     ticked, _ = ticked_run(fixed_fleet(spec, 2, **fleet_kwargs),
-                           population.stream())
+                           list(population.table()))
     jumped = fixed_fleet(spec, 2, **fleet_kwargs).run(population.table())
     return ticked, jumped
 
@@ -109,17 +110,13 @@ def engine_parity(ctx: AuditContext) -> str:
     """Every admission x isolation regime, fault-free and faulted, is
     bit-identical between run() and the every-tick loop."""
     population = _population()
-    stream, table = population.stream(), population.table()
-    for i, request in enumerate(stream):
-        if request != table.request(i):
-            raise CheckFailure(
-                f"population table row {i} diverged from the stream")
+    table = population.table()
     compared = 0
     for label, spec, fleet_kwargs in _regimes(population):
         def factory():
             return fixed_fleet(spec, 2, **fleet_kwargs)
 
-        reference, _ = ticked_vs_jumped(label, factory, stream, table)
+        reference, _ = ticked_vs_jumped(label, factory, table)
         compared += len(reference.outcomes)
     return (f"{compared} request timelines bit-identical across "
             f"{len(_regimes(population))} tenancy regimes")
@@ -134,7 +131,7 @@ def billing_conservation(ctx: AuditContext) -> str:
     checked = 0
     for label, spec, fleet_kwargs in _regimes(population):
         report = fixed_fleet(spec, 2,
-                             **fleet_kwargs).run(population.stream())
+                             **fleet_kwargs).run(population.table())
         split = tenant_breakdown(report, population)
         expected = round(report.cost_usd * 100)
         if split.total_bill_cents != expected:
@@ -194,7 +191,7 @@ def wfq_fairness(ctx: AuditContext) -> str:
     spec = replica_spec(
         "tdx", max_batch=4, kv_capacity_tokens=8192,
         tenancy=population.tenancy_config(admission="wfq"))
-    report = fixed_fleet(spec, 1).run(population.stream())
+    report = fixed_fleet(spec, 1).run(population.table())
     split = tenant_breakdown(report, population)
     heavy, light = split.usage_of(0), split.usage_of(1)
     if heavy.ttft_p99_s is None or light.ttft_p99_s is None:
@@ -256,7 +253,7 @@ def shed_priority_parity(ctx: AuditContext) -> str:
        layers=("tenancy", "fleet", "state"))
 def resume_parity(ctx: AuditContext) -> str:
     """A WFQ-armed, prefix-sharing, faulted fleet snapshotted mid-run
-    restores bit-identically, from an object stream or a table."""
+    restores bit-identically, from a ``ServeRequest`` list or a table."""
     population = _population()
     spec = _spec(population, "wfq", "shared-prefix")
     fleet_kwargs = {
@@ -267,10 +264,10 @@ def resume_parity(ctx: AuditContext) -> str:
     def fleet():
         return fixed_fleet(spec, 2, **fleet_kwargs)
 
-    reference, _ = ticked_run(fleet(), population.stream())
+    table = population.table()
+    reference, _ = ticked_run(fleet(), list(table))
     resumed = 0
-    for label, requests in (("stream", population.stream()),
-                            ("table", population.table())):
+    for label, requests in (("stream", list(table)), ("table", table)):
         baseline = fleet().run(requests)
         if baseline.to_dict() != reference.to_dict():
             raise CheckFailure(

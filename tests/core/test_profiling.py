@@ -74,20 +74,3 @@ class TestProfilingFrontDoor:
         cache.get_or_compute("y", lambda: 2)
         assert all_cache_stats()[cache.name] == cache.stats()
 
-
-class TestTimers:
-    def test_timed_accumulates(self):
-        profiling.reset_timers()
-        for _ in range(3):
-            with profiling.timed("region"):
-                pass
-        stat = profiling.timer_stats()["region"]
-        assert stat.calls == 3
-        assert stat.total_s >= 0.0
-        assert stat.mean_s == pytest.approx(stat.total_s / 3)
-
-    def test_reset_timers(self):
-        with profiling.timed("gone"):
-            pass
-        profiling.reset_timers()
-        assert profiling.timer_stats() == {}

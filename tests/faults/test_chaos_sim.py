@@ -9,14 +9,14 @@ from repro.faults import (
     one_shot,
     recurring,
 )
-from repro.fleet import fixed_fleet, poisson_arrivals, replica_spec
+from repro.fleet import fixed_fleet, poisson_table, replica_spec
 
 TDX = replica_spec("tdx", max_batch=16, kv_capacity_tokens=65536)
 CGPU = replica_spec("cgpu", max_batch=16, kv_capacity_tokens=65536)
 
 
 def stream(n=14, seed=11, rate=4.0):
-    return poisson_arrivals(n, rate, 128, 32, seed=seed)
+    return poisson_table(n, rate, 128, 32, seed=seed)
 
 
 def ids(outcomes):
@@ -146,7 +146,7 @@ class TestDegradation:
         assert all(s.reason == "unroutable" for s in report.shed)
 
     def test_shed_mode_sheds_lowest_priority_first(self):
-        requests = stream()
+        requests = list(stream())
         for i, r in enumerate(requests):
             object.__setattr__(r, "priority", 1 if i < 10 else 5)
         schedule = (one_shot("crash", 0, 0.5, restart_after_s=30.0)

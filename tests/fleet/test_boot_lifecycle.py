@@ -10,12 +10,11 @@ from repro.fleet import (
     FleetSimulator,
     ReactiveAutoscaler,
     fixed_fleet,
-    poisson_arrivals,
+    poisson_table,
     replica_spec,
 )
 from repro.fleet.replica import ATTESTING as REPLICA_ATTESTING
 from repro.fleet.replica import BOOTING, LIVE, Replica
-from repro.fleet.table import RequestTable
 from repro.tee.boot import (
     ATTESTING,
     BOOT_PHASES,
@@ -28,17 +27,17 @@ LEGACY = replica_spec("tdx", max_batch=8, kv_capacity_tokens=16384)
 PHASED = replica_spec("tdx", max_batch=8, kv_capacity_tokens=16384,
                       boot=boot_profile("tdx"))
 
-STREAM = poisson_arrivals(24, rate_per_s=1.2, mean_prompt=128,
-                          mean_output=48, seed=11)
+STREAM = poisson_table(24, rate_per_s=1.2, mean_prompt=128,
+                       mean_output=48, seed=11)
 
 
 def _serve(fleet, driver):
-    """Serve STREAM stepping every tick (``stepped``: the object stream
-    through begin_run/run_tick/finish_run) or through ``run()`` with
-    quiet ticks jumped (``event``: the columnar table)."""
+    """Serve STREAM stepping every tick (``stepped``: the stream as a
+    ``ServeRequest`` list through begin_run/run_tick/finish_run) or
+    through ``run()`` with quiet ticks jumped (``event``: the table)."""
     if driver == "event":
-        return fleet.run(RequestTable.from_requests(STREAM))
-    fleet.begin_run(STREAM)
+        return fleet.run(STREAM)
+    fleet.begin_run(list(STREAM))
     while fleet.run_active:
         fleet.run_tick()
     return fleet.finish_run()
@@ -190,8 +189,8 @@ class TestFleetLifecycle:
         config = AutoscalerConfig(min_replicas=1, max_replicas=3,
                                   scale_up_load=2.0, scale_down_load=0.5,
                                   cooldown_s=4.0, boot_latency_s=1.0)
-        burst = poisson_arrivals(36, rate_per_s=6.0, mean_prompt=128,
-                                 mean_output=48, seed=3)
+        burst = poisson_table(36, rate_per_s=6.0, mean_prompt=128,
+                              mean_output=48, seed=3)
         sim = FleetSimulator([PHASED],
                              autoscaler=ReactiveAutoscaler(config))
         report = sim.run(burst)

@@ -10,7 +10,7 @@ from repro.fleet import (
     capacity_plan,
     capacity_sweep,
     fixed_fleet,
-    poisson_arrivals,
+    poisson_table,
     replica_spec,
     trace_replay,
 )
@@ -18,8 +18,8 @@ from repro.fleet import (
 TDX = replica_spec("tdx", max_batch=16, kv_capacity_tokens=65536)
 CGPU = replica_spec("cgpu", max_batch=16, kv_capacity_tokens=65536)
 
-STREAM = poisson_arrivals(40, rate_per_s=4.0, mean_prompt=128,
-                          mean_output=32, seed=11)
+STREAM = poisson_table(40, rate_per_s=4.0, mean_prompt=128,
+                       mean_output=32, seed=11)
 
 
 @pytest.fixture(scope="module")
@@ -87,8 +87,8 @@ class TestScaling:
         assert p99s[0] >= p99s[1] >= p99s[2] - 1e-9
 
     def test_more_replicas_cost_more_per_token_when_underloaded(self):
-        light = poisson_arrivals(10, rate_per_s=1.0, mean_prompt=64,
-                                 mean_output=16, seed=3)
+        light = poisson_table(10, rate_per_s=1.0, mean_prompt=64,
+                              mean_output=16, seed=3)
         one = fixed_fleet(TDX, 1).run(light)
         three = fixed_fleet(TDX, 3).run(light)
         assert three.cost_usd > one.cost_usd
@@ -119,13 +119,14 @@ class TestAutoscaledFleet:
             max_replicas=3, scale_up_load=2.0, scale_down_load=0.8,
             cooldown_s=1.0, boot_latency_s=2.0))
         # A burst followed by a long quiet tail forces a scale-down.
-        burst = poisson_arrivals(30, rate_per_s=10.0, mean_prompt=96,
-                                 mean_output=24, seed=5)
+        burst = poisson_table(30, rate_per_s=10.0, mean_prompt=96,
+                              mean_output=24, seed=5)
         tail = [r.__class__(r.request_id + 100, r.arrival_s + 60.0,
                             r.prompt_tokens, r.output_tokens)
-                for r in poisson_arrivals(6, 0.5, mean_prompt=64,
-                                          mean_output=16, seed=6)]
-        report = FleetSimulator([TDX], autoscaler=scaler).run(burst + tail)
+                for r in poisson_table(6, 0.5, mean_prompt=64,
+                                       mean_output=16, seed=6)]
+        report = FleetSimulator([TDX], autoscaler=scaler).run(
+            list(burst) + tail)
         downs = [e for e in report.scale_events if e.action == "down"]
         assert downs
         retired = [u for u in report.replicas if u.retired_s is not None]
@@ -138,8 +139,8 @@ class TestAutoscaledFleet:
 class TestHeterogeneousRouting:
     def test_cost_slo_spill_pattern(self):
         """Cheap TDX carries the base load; the cGPU takes the spill."""
-        heavy = poisson_arrivals(60, rate_per_s=8.0, mean_prompt=192,
-                                 mean_output=48, seed=9)
+        heavy = poisson_table(60, rate_per_s=8.0, mean_prompt=192,
+                              mean_output=48, seed=9)
         fleet = FleetSimulator([TDX, CGPU], router=CostSloRouter(2.0))
         report = fleet.run(heavy)
         served = {u.kind: u.requests_served for u in report.replicas}
@@ -165,7 +166,7 @@ class TestCapacityPlanning:
         assert plan.usd_per_mtok_at_slo > 0
 
     def test_infeasible_slo_returns_none(self):
-        short = TRACE[:16]
+        short = list(TRACE)[:16]
         plan = capacity_plan(TDX, short, slo_ttft_s=1e-6, max_replicas=2)
         assert plan.replicas_needed is None
         assert plan.usd_per_mtok_at_slo is None

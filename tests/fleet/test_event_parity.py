@@ -18,7 +18,6 @@ from repro.faults import RetryPolicy, mtbf_schedule
 from repro.fleet import (
     RequestTable,
     fixed_fleet,
-    poisson_arrivals,
     poisson_table,
     replica_spec,
 )
@@ -48,9 +47,11 @@ def build(config):
 
 
 def stream_pair(config):
-    kwargs = dict(count=config["count"], rate_per_s=config["rate"],
-                  mean_prompt=96, mean_output=24, seed=config["seed"])
-    return poisson_arrivals(**kwargs), poisson_table(**kwargs)
+    """The drawn stream as a ``ServeRequest`` list and as its table."""
+    table = poisson_table(config["count"], rate_per_s=config["rate"],
+                          mean_prompt=96, mean_output=24,
+                          seed=config["seed"])
+    return list(table), table
 
 
 def assert_reports_equal(a, b):
@@ -79,7 +80,7 @@ class TestEngineEquivalence:
     def test_event_engine_accepts_object_streams(self, config):
         """begin_run converts plain request lists to a table itself."""
         requests, table = stream_pair(config)
-        from_list = build(config).run(list(requests))
+        from_list = build(config).run(requests)
         from_table = build(config).run(table)
         assert_reports_equal(from_list, from_table)
 

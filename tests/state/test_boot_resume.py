@@ -5,8 +5,7 @@ import json
 import pytest
 
 from repro.faults import FaultEvent, FaultSchedule, RetryPolicy
-from repro.fleet import fixed_fleet, poisson_arrivals, replica_spec
-from repro.fleet.table import RequestTable
+from repro.fleet import fixed_fleet, poisson_table, replica_spec
 from repro.state import attest_grid
 from repro.state.runner import SweepRunner, read_journal
 from repro.tee.boot import BOOT_PHASES, attest_tax_sweep, boot_profile
@@ -20,8 +19,8 @@ FAULTS = FaultSchedule((
 ))
 RETRY = RetryPolicy(timeout_s=60.0, max_attempts=4, seed=3)
 
-STREAM = poisson_arrivals(20, rate_per_s=0.8, mean_prompt=128,
-                          mean_output=48, seed=5)
+STREAM = poisson_table(20, rate_per_s=0.8, mean_prompt=128,
+                       mean_output=48, seed=5)
 
 
 def _fleet():
@@ -29,9 +28,10 @@ def _fleet():
 
 
 def _requests(driver):
-    """The object stream for the every-tick (``stepped``) baseline, its
-    columnar table for the ``run()`` (``event``) baseline."""
-    return RequestTable.from_requests(STREAM) if driver == "event" else STREAM
+    """The stream as a ``ServeRequest`` list for the every-tick
+    (``stepped``) baseline, the table itself for the ``run()``
+    (``event``) baseline."""
+    return STREAM if driver == "event" else list(STREAM)
 
 
 def _baseline(driver):

@@ -16,7 +16,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.faults import RetryPolicy, mtbf_schedule
-from repro.fleet import fixed_fleet, poisson_arrivals, replica_spec
+from repro.fleet import fixed_fleet, poisson_table, replica_spec
 from repro.state import StateError, validate_payload
 from repro.state.checkpoint import restore, snapshot
 from repro.state.runner import GridPoint, SweepSpec
@@ -85,8 +85,8 @@ def _roundtrip_fleet(mtbf_s, ticks, seed, n_requests):
         return fixed_fleet(TDX, 2, faults=faults,
                            retry_policy=RetryPolicy(seed=seed))
 
-    stream = poisson_arrivals(n_requests, rate_per_s=4.0, mean_prompt=64,
-                              mean_output=16, seed=seed)
+    stream = poisson_table(n_requests, rate_per_s=4.0, mean_prompt=64,
+                           mean_output=16, seed=seed)
     baseline = factory().run(stream)
     running = factory()
     running.begin_run(stream)

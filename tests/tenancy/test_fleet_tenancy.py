@@ -79,9 +79,9 @@ class TestShedPriorityParity:
                                         seed=9),
             "degradation": DegradationPolicy(mode="shed", max_hold_s=1.0),
         }
-        # Every tick on the object stream vs run() on the table.
+        # Every tick on the stream as a list vs run() on the table.
         stepped = fixed_fleet(spec, 2, **kwargs)
-        stepped.begin_run(pop.stream())
+        stepped.begin_run(list(pop.table()))
         while stepped.run_active:
             stepped.run_tick()
         stepped = stepped.finish_run()

@@ -1,4 +1,4 @@
-"""Tenant populations: twin parity, composability, and validation."""
+"""Tenant populations: merge order, composability, and validation."""
 
 import pytest
 
@@ -18,16 +18,8 @@ def small_population(seed=7):
 
 
 class TestStreamTableTwins:
-    def test_bit_identical(self):
-        population = small_population()
-        stream = population.stream()
-        table = population.table()
-        assert len(stream) == len(table) == population.total_requests
-        for i, request in enumerate(stream):
-            assert request == table.request(i)
-
     def test_global_ids_in_merge_order(self):
-        stream = small_population().stream()
+        stream = small_population().table()
         assert [r.request_id for r in stream] == list(range(len(stream)))
         arrivals = [r.arrival_s for r in stream]
         assert arrivals == sorted(arrivals)
@@ -35,13 +27,14 @@ class TestStreamTableTwins:
     def test_priority_follows_tenant(self):
         population = small_population()
         priorities = {s.tenant_id: s.priority for s in population.tenants}
-        for request in population.stream():
+        for request in population.table():
             assert request.priority == priorities[request.tenant_id]
 
     def test_deterministic(self):
-        assert small_population().stream() == small_population().stream()
-        assert small_population(seed=8).stream() != \
-            small_population(seed=7).stream()
+        assert list(small_population().table()) == \
+            list(small_population().table())
+        assert list(small_population(seed=8).table()) != \
+            list(small_population(seed=7).table())
 
 
 class TestComposability:
@@ -50,9 +43,9 @@ class TestComposability:
         full = small_population()
         solo = full.solo(1)
         mine_full = [(r.arrival_s, r.prompt_tokens, r.output_tokens)
-                     for r in full.stream() if r.tenant_id == 1]
+                     for r in full.table() if r.tenant_id == 1]
         mine_solo = [(r.arrival_s, r.prompt_tokens, r.output_tokens)
-                     for r in solo.stream()]
+                     for r in solo.table()]
         assert mine_full == mine_solo
 
     def test_tenancy_config_carries_weights_and_prefixes(self):
