@@ -90,7 +90,6 @@ class _ChaosState:
         self.attempts: dict[int, int] = {}
         self.retry_queue = RetryQueue()
         self.held_since: dict[int, float] = {}
-        self.completed: set[int] = set()
         self.shed: list[ShedRequest] = []
         self.wasted_tokens = 0
         self.retries = 0
@@ -198,8 +197,6 @@ class FleetSimulator:
         self._chaos = (faults is not None or retry_policy is not None
                        or degradation is not None)
         self.attestation = FleetAttestation() if self._chaos else None
-        #: Resilience bookkeeping of the most recent ``run`` (chaos only).
-        self.last_chaos: _ChaosState | None = None
         #: In-progress incremental run (``begin_run``/``run_tick``).
         self._run: _RunState | None = None
         self._initial_specs = list(specs)
@@ -429,7 +426,6 @@ class FleetSimulator:
         if self._chaos:
             state = _ChaosState(self._make_injector(), self.retry_policy,
                                 self.degradation)
-            self.last_chaos = state
             # TEE replicas attest before serving their first request.
             for replica in self.replicas:
                 if needs_attestation(replica.spec.kind):
@@ -529,7 +525,6 @@ class FleetSimulator:
             run.finished.record(request_id, first, finish, preempted)
             scheduler.release(request_id)
             if state is not None:
-                state.completed.add(request_id)
                 state.flights.pop(request_id, None)
 
     # -- quiet-tick jumping ---------------------------------------------------
@@ -727,7 +722,6 @@ class FleetSimulator:
                     "held_since": {str(request_id): since
                                    for request_id, since
                                    in state.held_since.items()},
-                    "completed": sorted(state.completed),
                     "shed": [{"request": shed.request.to_state(),
                               "time_s": shed.time_s,
                               "reason": shed.reason,
@@ -892,8 +886,6 @@ class FleetSimulator:
         chaos.held_since = {int(key): float(since) for key, since
                             in require(chaos_payload, "held_since", dict,
                                        "$.fleet.chaos").items()}
-        chaos.completed = set(require(chaos_payload, "completed", list,
-                                      "$.fleet.chaos"))
         chaos.shed = [
             ShedRequest(
                 request=ServeRequest.from_state(
@@ -911,7 +903,6 @@ class FleetSimulator:
                                 "$.fleet.chaos")
         chaos.spilled = require(chaos_payload, "spilled", int,
                                 "$.fleet.chaos")
-        self.last_chaos = chaos
         return chaos
 
     def _run_from_state(self, run_state: dict) -> _RunState:

@@ -47,6 +47,8 @@ KV isolation modes
     prefix (RAG system prompt, few-shot header) once; subsequent
     requests allocate only their suffix and count as prefix *hits*.
     The first request of a tenant pays the pin and counts as a *miss*.
+    Pins stay resident, so a request whose own blocks cannot fit beside
+    every configured tenant's pin is refused at submission.
 """
 
 from __future__ import annotations

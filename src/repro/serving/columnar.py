@@ -26,11 +26,12 @@ run-to-completion entry point.  :meth:`step` returns finished request
 *ids*; the fleet reads their timelines via :meth:`finished_triple` and
 materializes outcome objects only on demand.
 
-Every float operation (prefill/decode charging, clock advancement,
-preemption cascade order, admission lookahead scan) transcribes the
-frozen object-per-request oracle in :mod:`repro.validate.oracle`, which
-allocates real KV blocks; per-request timelines are **bit-identical**
-to it, pinned by the ``serving.columnar_reference_parity`` audit check.
+Every result (admission decisions, prefill/decode charges, clock
+values, preemption cascade order) matches the frozen
+object-per-request oracle in :mod:`repro.validate.oracle`, which
+allocates real KV blocks and keeps its own per-policy admission loops;
+per-request timelines are **bit-identical** to it, pinned by the
+``serving.columnar_reference_parity`` audit check.
 
 Admission policy (head-of-line).  By default admission is strict FCFS:
 the admission loop stops on the first queued request whose KV
@@ -45,9 +46,9 @@ Multi-tenancy.  Passing a :class:`~repro.serving.admission.TenancyConfig`
 arms per-tenant policy: weighted-fair-queueing admission (SCFQ virtual
 finish tags; see :mod:`repro.serving.admission`) and per-tenant KV
 isolation (hard partition via admission-time worst-case reservation, or
-cross-request shared-prefix pinning with hit/miss accounting).  With no
-config the scheduler executes the exact pre-tenancy instruction
-sequence.
+cross-request shared-prefix pinning with hit/miss accounting).  One
+admission loop serves every policy pair; with no config it gives the
+same outcomes as the pre-tenancy scheduler.
 
 Snapshots (:meth:`to_state`) use a columnar schema whose config
 fingerprint carries ``"engine": "columnar"``.
@@ -87,7 +88,8 @@ class ColumnarScheduler:
             to scan past a head-of-line KV-allocation failure (0 =
             strict FCFS, the vLLM default; see module docstring).
         tenancy: Optional multi-tenant policy (WFQ admission and/or KV
-            isolation); ``None`` keeps the pre-tenancy behavior exactly.
+            isolation); ``None`` means FCFS admission over one shared
+            pool, the pre-tenancy outcomes.
     """
 
     def __init__(self, deployment: Deployment, model: ModelConfig,
@@ -286,6 +288,20 @@ class ColumnarScheduler:
                     f"request {request.request_id} needs {worst_case} "
                     f"blocks, tenant {request.tenant_id} partition holds "
                     f"{cap}")
+        elif self.kv_isolation == "shared-prefix":
+            # Every tenant's pinned prefix can stay resident while this
+            # request runs alone; it must still fit beside all of them,
+            # or admission waits (and decode preempts) forever.
+            usable = max(0, min(self.tenancy.prefix_of(request.tenant_id),
+                                request.prompt_tokens - 1))
+            own = -(-(needed - usable) // self.block_size)
+            pinned = sum(-(-prefix // self.block_size)
+                         for _, prefix in self.tenancy.prefix_tokens)
+            if own + pinned > self.num_blocks:
+                raise ValueError(
+                    f"request {request.request_id} needs {own} blocks "
+                    f"beside {pinned} pinned prefix blocks, pool holds "
+                    f"{self.num_blocks}")
 
     def submit(self, request: ServeRequest) -> None:
         """Enqueue one request for service (fleet/step entry point).
@@ -414,51 +430,6 @@ class ColumnarScheduler:
         """Admissions that had to pin a tenant's shared prefix."""
         return self._prefix_misses
 
-    def _admit(self) -> None:
-        """Admit arrived requests per policy while memory/slots allow."""
-        if self.tenancy is None:
-            self._admit_default()
-        elif self._wfq:
-            self._admit_wfq()
-        else:
-            self._admit_fcfs_tenant()
-
-    def _admit_default(self) -> None:
-        """Unarmed FCFS fast path — the pre-tenancy loop, untouched."""
-        waiting = self._waiting
-        block_size = self.block_size
-        while (waiting and len(self._run_ids) < self.max_batch
-               and waiting[0][0] <= self._clock):
-            _, rid = waiting[0]
-            admitted_index = 0
-            slot = self._slot[rid]
-            prompt = self._col_prompt[slot]
-            needed = -(-prompt // block_size)
-            if needed > self._free_blocks:
-                # Head-of-line blocking: strict FCFS stops here.  With
-                # lookahead, scan a bounded window of arrived requests
-                # for one that fits right now.
-                admitted_index = -1
-                for index in range(1, 1 + min(self.admission_lookahead,
-                                              len(waiting) - 1)):
-                    c_arrival, c_rid = waiting[index]
-                    if c_arrival > self._clock:
-                        break
-                    c_slot = self._slot[c_rid]
-                    c_prompt = self._col_prompt[c_slot]
-                    c_needed = -(-c_prompt // block_size)
-                    if c_needed > self._free_blocks:
-                        continue
-                    rid, slot = c_rid, c_slot
-                    prompt, needed = c_prompt, c_needed
-                    admitted_index = index
-                    break
-                if admitted_index < 0:
-                    break
-            self._free_blocks -= needed
-            waiting.pop(admitted_index)
-            self._start_running(rid, slot, prompt, needed, prompt)
-
     def _start_running(self, rid: int, slot: int, prompt: int,
                        blocks: int, kvlen: int) -> None:
         """Charge prefill and move an admitted request into the batch."""
@@ -525,87 +496,49 @@ class ColumnarScheduler:
         self._prefix_misses += 1
         return suffix_blocks, suffix
 
-    def _admit_fcfs_tenant(self) -> None:
-        """FCFS admission with tenancy KV isolation armed."""
-        waiting = self._waiting
-        while (waiting and len(self._run_ids) < self.max_batch
-               and waiting[0][0] <= self._clock):
-            rid = waiting[0][-1]
-            admitted_index = 0
-            slot = self._slot[rid]
-            taken = self._kv_admit(rid, slot)
-            if taken is None:
-                admitted_index = -1
-                for index in range(1, 1 + min(self.admission_lookahead,
-                                              len(waiting) - 1)):
-                    entry = waiting[index]
-                    if entry[-2] > self._clock:
-                        break
-                    c_rid = entry[-1]
-                    c_slot = self._slot[c_rid]
-                    taken = self._kv_admit(c_rid, c_slot)
-                    if taken is None:
-                        continue
-                    rid, slot = c_rid, c_slot
-                    admitted_index = index
-                    break
-                if admitted_index < 0:
-                    break
-            waiting.pop(admitted_index)
-            blocks, kvlen = taken
-            self._start_running(rid, slot, self._col_prompt[slot],
-                                blocks, kvlen)
+    def _admit(self) -> None:
+        """Admit arrived requests per policy while memory/slots allow.
 
-    def _admit_wfq(self) -> None:
-        """WFQ admission: serve arrived requests in virtual-finish order.
-
-        The queue is tag-ordered, not arrival-ordered, so the head may
-        not have arrived yet while a later entry has; the scan skips
-        unarrived entries (they cost no lookahead budget) and treats the
-        first arrived entry as the head of line.  On its allocation
-        failure, ``admission_lookahead`` further *arrived* candidates
-        are tried, exactly mirroring the FCFS window.
+        Each pass walks the waiting queue in order.  An unarrived entry
+        ends the walk under FCFS (the queue is arrival-ordered, so
+        nothing behind it has arrived either) and is skipped under WFQ
+        (the queue is tag-ordered, so a later entry may have arrived).
+        The first arrived entry is the head of line; on its KV
+        allocation failure ``admission_lookahead`` further *arrived*
+        entries are tried, and the first that fits is admitted (the
+        head keeps its queue position).  The pass stops after one
+        admission, or with none once the window is exhausted.
         """
         waiting = self._waiting
+        wfq = self._wfq
+        window = self.admission_lookahead + 1
         while waiting and len(self._run_ids) < self.max_batch:
-            head_index = -1
+            clock = self._clock
+            tries = window
+            taken = None
             for index, entry in enumerate(waiting):
-                if entry[-2] <= self._clock:
-                    head_index = index
+                if entry[-2] > clock:
+                    if wfq:
+                        continue
                     break
-            if head_index < 0:
-                break  # nothing has arrived yet
-            rid = waiting[head_index][-1]
-            admitted_index = head_index
-            slot = self._slot[rid]
-            taken = self._kv_admit(rid, slot)
+                rid = entry[-1]
+                slot = self._slot[rid]
+                taken = self._kv_admit(rid, slot)
+                if taken is not None:
+                    break
+                tries -= 1
+                if not tries:
+                    break
             if taken is None:
-                admitted_index = -1
-                scanned = 0
-                for index in range(head_index + 1, len(waiting)):
-                    if scanned >= self.admission_lookahead:
-                        break
-                    entry = waiting[index]
-                    if entry[-2] > self._clock:
-                        continue
-                    scanned += 1
-                    c_rid = entry[-1]
-                    c_slot = self._slot[c_rid]
-                    taken = self._kv_admit(c_rid, c_slot)
-                    if taken is None:
-                        continue
-                    rid, slot = c_rid, c_slot
-                    admitted_index = index
-                    break
-                if admitted_index < 0:
-                    break
-            waiting.pop(admitted_index)
+                return
+            waiting.pop(index)
             blocks, kvlen = taken
             self._start_running(rid, slot, self._col_prompt[slot],
                                 blocks, kvlen)
-            tag = self._wfq_tag[rid]
-            if tag > self._wfq_v:
-                self._wfq_v = tag
+            if wfq:
+                tag = self._wfq_tag[rid]
+                if tag > self._wfq_v:
+                    self._wfq_v = tag
 
     # -- decode ----------------------------------------------------------------
 

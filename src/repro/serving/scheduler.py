@@ -12,7 +12,10 @@ plus a seeded Poisson stream generator.  The scheduler itself is
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
+
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -146,23 +149,28 @@ class ServingReport:
         return _percentile([o.e2e_s for o in self.outcomes], percentile)
 
 
-def _percentile(values: list[float], percentile: float) -> float:
+def _percentile(values: Sequence[float] | np.ndarray,
+                percentile: float) -> float:
     """Linearly interpolated percentile (numpy's default method).
 
-    Nearest-rank rounding returns an endpoint for the median of two
-    values, skewing small-sample TTFT/e2e percentiles; interpolation
-    matches ``numpy.percentile`` exactly.
+    Takes any sequence or array of floats; fleet and tenant reports grade
+    their columnar latencies with this same helper, so every report
+    ranks latencies identically.  Nearest-rank rounding returns an
+    endpoint for the median of two values, skewing small-sample
+    TTFT/e2e percentiles; interpolation matches ``numpy.percentile``
+    exactly.
     """
-    if not values:
+    ordered = np.sort(np.asarray(values, dtype=float))
+    if not ordered.size:
         raise ValueError("no values")
     if not 0.0 <= percentile <= 100.0:
         raise ValueError("percentile must be in [0, 100]")
-    ordered = sorted(values)
-    rank = percentile / 100.0 * (len(ordered) - 1)
+    rank = percentile / 100.0 * (ordered.size - 1)
     lower = int(math.floor(rank))
-    upper = min(lower + 1, len(ordered) - 1)
+    upper = min(lower + 1, ordered.size - 1)
     fraction = rank - lower
-    return ordered[lower] + (ordered[upper] - ordered[lower]) * fraction
+    return float(ordered[lower] + (ordered[upper] - ordered[lower])
+                 * fraction)
 
 
 def poisson_stream(count: int, rate_per_s: float, mean_prompt: int = 256,

@@ -209,20 +209,27 @@ def step_run_parity(ctx: AuditContext) -> str:
 
 # -- production scheduler vs the frozen oracle --------------------------------
 
-#: Tenancy setups the reference script runs under: unarmed, WFQ alone,
-#: FCFS with hard KV partitions, and WFQ with shared-prefix pinning.
+#: Tenancy setups the reference script runs under: every admission
+#: policy (FCFS, WFQ) crossed with every KV isolation mode (shared,
+#: partition, shared-prefix), since one admission loop serves all six.
 #: Tenant 3 is deliberately unconfigured (weight 1, no prefix, and no
 #: partition — a partitioned replica must refuse it).
 _REFERENCE_WEIGHTS = ((0, 4.0), (1, 2.0), (2, 1.0))
+_REFERENCE_SHARES = ((0, 0.5), (1, 0.3), (2, 0.2))
+_REFERENCE_PREFIXES = ((0, 64), (1, 40))
 _REFERENCE_TENANCY = (
     ("none", None),
     ("wfq", TenancyConfig(admission="wfq", weights=_REFERENCE_WEIGHTS)),
     ("partition", TenancyConfig(
-        kv_isolation="partition",
-        partition_shares=((0, 0.5), (1, 0.3), (2, 0.2)))),
+        kv_isolation="partition", partition_shares=_REFERENCE_SHARES)),
+    ("partition+wfq", TenancyConfig(
+        admission="wfq", weights=_REFERENCE_WEIGHTS,
+        kv_isolation="partition", partition_shares=_REFERENCE_SHARES)),
+    ("shared-prefix", TenancyConfig(
+        kv_isolation="shared-prefix", prefix_tokens=_REFERENCE_PREFIXES)),
     ("shared-prefix+wfq", TenancyConfig(
         admission="wfq", weights=_REFERENCE_WEIGHTS,
-        kv_isolation="shared-prefix", prefix_tokens=((0, 64), (1, 40)))),
+        kv_isolation="shared-prefix", prefix_tokens=_REFERENCE_PREFIXES)),
 )
 
 #: Operation mix of the reference script (relative weights).
@@ -261,8 +268,10 @@ def _reference_script(oracle, core, seed: int, operations: int) -> int:
     def fresh_request() -> ServeRequest:
         nonlocal next_id
         if rng.random() < 0.05:
-            # Too big for a tenant partition or for the whole pool.
-            prompt, output = rng.choice(((400, 120), (900, 200)))
+            # Too big for a tenant partition, for the pool beside the
+            # pinned shared prefixes, or for the whole pool.
+            prompt, output = rng.choice(((400, 120), (1000, 16),
+                                         (900, 200)))
         else:
             # A coarse prompt grid (step 23 visits every residue mod the
             # 16-token block) keeps the cold prefill-cost memo small.

@@ -226,6 +226,20 @@ class ContinuousBatchingScheduler:
                     f"request {request.request_id} needs {worst_case} "
                     f"blocks, tenant {request.tenant_id} partition holds "
                     f"{cap}")
+        elif self.kv_isolation == "shared-prefix":
+            # Every tenant's pinned prefix can stay resident while this
+            # request runs alone; it must still fit beside all of them,
+            # or admission waits (and decode preempts) forever.
+            usable = max(0, min(self.tenancy.prefix_of(request.tenant_id),
+                                request.prompt_tokens - 1))
+            own = -(-(needed - usable) // self.block_size)
+            pinned = sum(-(-prefix // self.block_size)
+                         for _, prefix in self.tenancy.prefix_tokens)
+            if own + pinned > self.cache.num_blocks:
+                raise ValueError(
+                    f"request {request.request_id} needs {own} blocks "
+                    f"beside {pinned} pinned prefix blocks, pool holds "
+                    f"{self.cache.num_blocks}")
 
     def _wfq_key(self, request: ServeRequest) -> tuple[float, float, int]:
         """Waiting-queue sort key under WFQ: (finish tag, arrival, id)."""

@@ -1,5 +1,7 @@
 """Shared fixtures: small, fast workloads and standard deployments."""
 
+import signal
+
 import pytest
 
 from repro.core.experiment import cpu_deployment, gpu_deployment
@@ -49,3 +51,15 @@ def gpu_raw():
 @pytest.fixture
 def cgpu():
     return gpu_deployment(confidential=True)
+
+
+@pytest.fixture
+def deadline():
+    """Fail a test with ``TimeoutError`` instead of hanging past 5 s."""
+    def expire(signum, frame):
+        raise TimeoutError("test body did not return within 5 s")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(5)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)

@@ -10,6 +10,7 @@ import json
 
 import pytest
 
+from repro.faults import RetryPolicy, mtbf_schedule
 from repro.fleet import fixed_fleet, poisson_table, replica_spec
 from repro.state import (
     CURRENT_STATE_VERSION,
@@ -61,6 +62,30 @@ class TestSnapshotShape:
         running.run_tick()
         fresh = _fleet()
         restore(fresh, json.loads(json.dumps(snapshot(running))))
+        while fresh.run_active:
+            fresh.run_tick()
+        assert fresh.finish_run().to_dict() == baseline.to_dict()
+
+    def test_chaos_payload_with_retired_completed_key_resumes(self):
+        """Older chaos payloads carry a ``completed`` id list that no
+        longer exists; restore ignores it and resumes bit-identically."""
+        def chaos_fleet():
+            return fixed_fleet(_spec(), 2,
+                               faults=mtbf_schedule([0, 1], mtbf_s=4.0,
+                                                    horizon_s=10.0, seed=3),
+                               retry_policy=RetryPolicy(seed=1))
+        stream = _stream(n=12)
+        baseline = chaos_fleet().run(stream)
+        running = chaos_fleet()
+        running.begin_run(stream)
+        for _ in range(8):
+            running.run_tick()
+        payload = json.loads(json.dumps(snapshot(running)))
+        chaos = payload["state"]["run"]["chaos"]
+        assert "completed" not in chaos
+        chaos["completed"] = [0, 1]
+        fresh = chaos_fleet()
+        restore(fresh, payload)
         while fresh.run_active:
             fresh.run_tick()
         assert fresh.finish_run().to_dict() == baseline.to_dict()

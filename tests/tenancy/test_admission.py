@@ -26,6 +26,18 @@ def free_and_total_blocks(scheduler):
     return scheduler.cache.free_blocks, scheduler.cache.num_blocks
 
 
+#: ``(prefix_tokens, prompt, output)`` of a tenant-1 request that cannot
+#: fit a 1024-token (64-block) pool beside every tenant's pinned prefix.
+#: In the first case the pins take all 64 blocks, so even the tenant-0
+#: request ahead of it is refused; in the second they take 63 and the
+#: request needs 3.  Admitted, either would wait in the queue, or
+#: preempt itself, forever.
+PREFIX_OVERCOMMIT = [
+    (((0, 512), (1, 512)), 600, 8),
+    (((0, 512), (1, 496)), 497, 40),
+]
+
+
 def request(rid, arrival, prompt=128, output=32, tenant=0):
     return ServeRequest(request_id=rid, arrival_s=arrival,
                         prompt_tokens=prompt, output_tokens=output,
@@ -147,6 +159,37 @@ class TestKvIsolation:
         scheduler.evacuate()
         free, total = free_and_total_blocks(scheduler)
         assert free == total
+
+    @pytest.mark.parametrize("cls", [ContinuousBatchingScheduler,
+                                     ColumnarScheduler])
+    @pytest.mark.parametrize("prefixes, prompt, output",
+                             PREFIX_OVERCOMMIT)
+    def test_shared_prefix_rejects_request_beyond_pinned_pool(
+            self, deadline, cls, prefixes, prompt, output):
+        tenancy = TenancyConfig(kv_isolation="shared-prefix",
+                                prefix_tokens=prefixes)
+        scheduler = make_scheduler(cls, tenancy=tenancy, kv_tokens=1024)
+        with pytest.raises(ValueError, match="pinned prefix blocks"):
+            scheduler.submit(request(0, 0.0, prompt=520, output=8,
+                                     tenant=0))
+            scheduler.step(None)
+            scheduler.submit(request(1, scheduler.clock_s, prompt=prompt,
+                                     output=output, tenant=1))
+            scheduler.step(None)
+
+    @pytest.mark.parametrize("cls", [ContinuousBatchingScheduler,
+                                     ColumnarScheduler])
+    def test_shared_prefix_serves_request_that_fits_beside_pins(
+            self, deadline, cls):
+        """63 blocks pinned of 64 leave room for a one-block request."""
+        tenancy = TenancyConfig(kv_isolation="shared-prefix",
+                                prefix_tokens=((0, 512), (1, 496)))
+        scheduler = make_scheduler(cls, tenancy=tenancy, kv_tokens=1024)
+        report = scheduler.run([request(0, 0.0, prompt=520, output=8),
+                                request(1, 0.1, prompt=500, output=8,
+                                        tenant=1)])
+        assert len(report.outcomes) == 2
+        assert scheduler.prefix_misses == 2
 
     def test_shared_prefix_unconfigured_tenant_plain(self):
         tenancy = TenancyConfig(kv_isolation="shared-prefix",

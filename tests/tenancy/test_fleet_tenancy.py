@@ -4,7 +4,7 @@ import pytest
 
 from repro.faults import DegradationPolicy, RetryPolicy, mtbf_schedule
 from repro.fleet import fixed_fleet, replica_spec
-from repro.serving import TenancyConfig
+from repro.serving import ServeRequest, TenancyConfig
 from repro.state.errors import StateIntegrityError
 from repro.tenancy import (
     TenantPopulation,
@@ -43,6 +43,25 @@ class TestSpecIdentity:
         other = fixed_fleet(replica_spec("tdx"), 1)
         with pytest.raises(StateIntegrityError, match="different spec"):
             other.from_state(snapshot)
+
+
+class TestSharedPrefixFit:
+    @pytest.mark.parametrize("prefixes, prompt, output", [
+        (((0, 512), (1, 512)), 600, 8),
+        (((0, 512), (1, 496)), 497, 40),
+    ])
+    def test_fleet_rejects_request_beyond_pinned_pool(
+            self, deadline, prefixes, prompt, output):
+        """A request that cannot fit beside every pinned prefix is
+        refused at routing instead of hanging the fleet run."""
+        tenancy = TenancyConfig(kv_isolation="shared-prefix",
+                                prefix_tokens=prefixes)
+        spec = replica_spec("tdx", kv_capacity_tokens=1024, max_batch=4,
+                            tenancy=tenancy)
+        requests = [ServeRequest(0, 0.0, 520, 8, tenant_id=0),
+                    ServeRequest(1, 0.1, prompt, output, tenant_id=1)]
+        with pytest.raises(ValueError, match="pinned prefix blocks"):
+            fixed_fleet(spec, 1).run(requests)
 
 
 class TestReportCounters:
