@@ -39,9 +39,10 @@ def chaos_fleet(kind: str, replicas: int = 2,
                 boot: BootProfile | None = None) -> FleetSimulator:
     """A fixed fleet armed with an MTBF fault schedule and retries.
 
-    ``mtbf_s=None`` arms the chaos machinery with an empty schedule —
-    the configuration the zero-fault differential twin pins against a
-    fault-free run.  ``boot`` arms a phased confidential boot profile
+    ``mtbf_s=None`` supplies an empty schedule: the fleet then runs
+    the same tick path with nothing to inject, which the zero-fault
+    differential twin pins against a fleet built without one.
+    ``boot`` arms a phased confidential boot profile
     (:mod:`repro.tee.boot`): crash recoveries and attestation failures
     then pay the re-attestation remainder instead of rebooting free.
     """

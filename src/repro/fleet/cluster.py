@@ -24,13 +24,13 @@ exactly the clock values of the every-tick
 bit-identical to it, pinned by the ``fleet.event_core_parity`` audit
 checks.
 
-Fault injection (:mod:`repro.faults`) plugs into the same loop: when a
-schedule, retry policy, or degradation policy is supplied, each tick
-additionally applies due faults, reboots repaired instances, re-attests
+Fault injection (:mod:`repro.faults`) lives in the same tick path:
+each tick applies due faults, reboots repaired instances, re-attests
 TEE replicas before readmission, retries timed-out or evacuated
 requests with seeded backoff, and sheds or spills work the degraded
-fleet cannot hold.  Every chaos hook is gated so a run without fault
-machinery executes the exact fault-free instruction sequence — the
+fleet cannot hold.  Every fleet runs that path; without a schedule,
+retry policy or degradation policy it simply finds nothing to do, so
+an empty schedule or a bare retry policy changes no result — the
 ``chaos.zero_fault_twin`` audit check pins this bit-for-bit.
 
 Determinism: replicas are stepped and inspected in id order, arrivals
@@ -73,64 +73,23 @@ from .table import OutcomeLog, RequestTable
 DEFAULT_TICK_S = 0.25
 
 
-class _ChaosState:
-    """Per-run resilience bookkeeping (only allocated under chaos).
-
-    Tracks in-flight attempts, the retry queue, the shed ledger, and
-    the waste counters that make the final report failure-aware.
-    """
-
-    def __init__(self, injector: FaultInjector,
-                 retry: RetryPolicy | None,
-                 degradation: DegradationPolicy | None) -> None:
-        self.injector = injector
-        self.retry = retry
-        self.degradation = degradation
-        self.flights: dict[int, tuple[Replica, float]] = {}
-        self.attempts: dict[int, int] = {}
-        self.retry_queue = RetryQueue()
-        self.held_since: dict[int, float] = {}
-        self.shed: list[ShedRequest] = []
-        self.wasted_tokens = 0
-        self.retries = 0
-        self.spilled = 0
-
-    def requeue_or_shed(self, request: ServeRequest, now: float,
-                        generated: int) -> None:
-        """Route a failed attempt back through retry policy or shed it."""
-        self.wasted_tokens += generated
-        made = self.attempts.get(request.request_id, 0)
-        if self.retry is None:
-            # No policy: crash evacuations still requeue immediately so
-            # no request is ever silently lost.
-            self.retry_queue.push(now, request)
-            return
-        if made >= self.retry.max_attempts:
-            self.shed.append(ShedRequest(request=request, time_s=now,
-                                         reason="retries-exhausted",
-                                         attempts=made))
-            return
-        delay = self.retry.backoff_s(request.request_id, made)
-        self.retry_queue.push(now + delay, request)
-
-    def shed_request(self, request: ServeRequest, now: float,
-                     reason: str) -> None:
-        self.held_since.pop(request.request_id, None)
-        self.shed.append(ShedRequest(
-            request=request, time_s=now, reason=reason,
-            attempts=self.attempts.get(request.request_id, 0)))
-
-
 class _RunState:
-    """Mid-run loop state (pending arrivals, held work, outcomes).
+    """Per-run loop state: pending arrivals, held work, outcomes, and
+    the resilience ledgers that make the final report failure-aware.
 
     Hoisting the ``run`` loop's locals into an object is what makes a
     run *snapshotable*: everything the next tick depends on lives here
     or on the replicas/router/autoscaler, never in a stack frame.
+
+    The per-request ledgers hold only requests something reads them
+    for: ``flights`` (routing times) only under a retry policy, whose
+    timeout check reads them, and ``attempts`` only for requests that
+    have failed at least once (a missing id has been routed at most
+    once).  Both drop an id when its request finishes.
     """
 
     def __init__(self, table: RequestTable, tick_s: float, peak: int,
-                 chaos: _ChaosState | None) -> None:
+                 injector: FaultInjector) -> None:
         order = table.arrival_order()
         arrivals = table.arrival_s[order]
         self.table = table
@@ -144,7 +103,15 @@ class _RunState:
         self.start = float(arrivals[0])
         self.now = (self.start // tick_s) * tick_s
         self.peak = peak
-        self.chaos = chaos
+        self.injector = injector
+        self.flights: dict[int, tuple[Replica, float]] = {}
+        self.attempts: dict[int, int] = {}
+        self.retry_queue = RetryQueue()
+        self.held_since: dict[int, float] = {}
+        self.shed: list[ShedRequest] = []
+        self.wasted_tokens = 0
+        self.retries = 0
+        self.spilled = 0
 
 
 class FleetSimulator:
@@ -170,8 +137,10 @@ class FleetSimulator:
             ``max_hold_s`` — shed by priority, or spill onto emergency
             replicas of another backend.
 
-    Supplying any of the three arms the chaos path; leaving all three
-    ``None`` runs the exact fault-free instruction sequence.
+    Every fleet runs the same tick path whichever of the three it was
+    given: with none of them it applies no faults, retries nothing and
+    sheds nothing, and an empty schedule or a bare retry policy leaves
+    every result unchanged.
     """
 
     def __init__(self, specs: list[ReplicaSpec], router: Router | None = None,
@@ -194,9 +163,7 @@ class FleetSimulator:
         self.faults = faults
         self.retry_policy = retry_policy
         self.degradation = degradation
-        self._chaos = (faults is not None or retry_policy is not None
-                       or degradation is not None)
-        self.attestation = FleetAttestation() if self._chaos else None
+        self.attestation = FleetAttestation()
         #: In-progress incremental run (``begin_run``/``run_tick``).
         self._run: _RunState | None = None
         self._initial_specs = list(specs)
@@ -204,13 +171,20 @@ class FleetSimulator:
         for spec in specs:
             self._provision(spec, provisioned_s=0.0, boot_latency_s=0.0)
 
+    @property
+    def _chaos_armed(self) -> bool:
+        """Whether any resilience argument was supplied — a snapshot
+        fingerprint, so restore refuses a differently built fleet."""
+        return (self.faults is not None or self.retry_policy is not None
+                or self.degradation is not None)
+
     def _provision(self, spec: ReplicaSpec, provisioned_s: float,
                    boot_latency_s: float, origin: str = "initial") -> Replica:
         replica = Replica(replica_id=len(self.replicas), spec=spec,
                           provisioned_s=provisioned_s,
                           boot_latency_s=boot_latency_s, origin=origin)
         self.replicas.append(replica)
-        if self.attestation is not None and needs_attestation(spec.kind):
+        if needs_attestation(spec.kind):
             self.attestation.enroll(replica.replica_id)
         return replica
 
@@ -229,9 +203,12 @@ class FleetSimulator:
 
     # -- autoscaling ----------------------------------------------------------
 
-    def _autoscale(self, now: float, queued: int = 0) -> None:
+    def _autoscale(self, now: float, run: _RunState) -> None:
         if self.autoscaler is None:
             return
+        # Held and retry-queued work is load the fleet has not placed
+        # yet; on a fleet still booting it is the only load there is.
+        queued = len(run.held) + len(run.retry_queue)
         delta = self.autoscaler.decide(
             now, outstanding=self._outstanding() + queued,
             live_replicas=len(self.live),
@@ -249,8 +226,37 @@ class FleetSimulator:
 
     # -- fault application -----------------------------------------------------
 
+    def _requeue_or_shed(self, run: _RunState, request: ServeRequest,
+                         now: float, generated: int) -> None:
+        """Route a failed attempt back through retry policy or shed it."""
+        run.flights.pop(request.request_id, None)
+        run.wasted_tokens += generated
+        # A failed request was routed at least once; the ledger keeps
+        # its count from here on.
+        made = run.attempts.setdefault(request.request_id, 1)
+        retry = self.retry_policy
+        if retry is None:
+            # No policy: crash evacuations still requeue immediately so
+            # no request is ever silently lost.
+            run.retry_queue.push(now, request)
+            return
+        if made >= retry.max_attempts:
+            run.shed.append(ShedRequest(request=request, time_s=now,
+                                        reason="retries-exhausted",
+                                        attempts=made))
+            return
+        delay = retry.backoff_s(request.request_id, made)
+        run.retry_queue.push(now + delay, request)
+
+    def _shed_request(self, run: _RunState, request: ServeRequest,
+                      now: float, reason: str) -> None:
+        run.held_since.pop(request.request_id, None)
+        run.shed.append(ShedRequest(
+            request=request, time_s=now, reason=reason,
+            attempts=run.attempts.get(request.request_id, 0)))
+
     def _apply_fault(self, event: FaultEvent, now: float,
-                     state: _ChaosState) -> str:
+                     run: _RunState) -> str:
         """Land one due fault on its target; returns the effect log."""
         if event.replica_id >= len(self.replicas):
             return "no-op: no such replica"
@@ -260,8 +266,7 @@ class FleetSimulator:
                 return f"no-op: replica already {replica.state}"
             evacuated = replica.crash(now, event.restart_after_s)
             for request, generated in evacuated:
-                state.flights.pop(request.request_id, None)
-                state.requeue_or_shed(request, now, generated)
+                self._requeue_or_shed(run, request, now, generated)
             return f"crash: evacuated {len(evacuated)} requests"
         if event.kind == "hang":
             if replica.state not in (LIVE, DRAINING):
@@ -285,7 +290,6 @@ class FleetSimulator:
             return f"no-op: {replica.spec.kind} replica does not attest"
         if replica.state in (FAILED, RETIRED):
             return f"no-op: replica already {replica.state}"
-        assert self.attestation is not None
         self.attestation.revoke(replica.replica_id)
         # Phased-boot replicas restart the boot sequence from the
         # ATTESTING phase (quote, key release, decrypt, load — the
@@ -296,23 +300,21 @@ class FleetSimulator:
         outage_s = event.duration_s if reattest_s is None else reattest_s
         evacuated = replica.begin_attestation(now + outage_s)
         for request, generated in evacuated:
-            state.flights.pop(request.request_id, None)
-            state.requeue_or_shed(request, now, generated)
+            self._requeue_or_shed(run, request, now, generated)
         return (f"attestation revoked: evacuated {len(evacuated)} requests, "
                 f"re-attest at {now + outage_s:g}s")
 
-    def _chaos_tick(self, now: float, state: _ChaosState) -> None:
+    def _chaos_tick(self, now: float, run: _RunState) -> None:
         """Pre-routing chaos phase: expiries, reboots, due faults."""
         for replica in self.replicas:
             replica.expire_faults(now)
             replica.restart_if_due(now)
-        for event in state.injector.due(now):
-            state.injector.record(event, now, self._apply_fault(event, now,
-                                                                state))
+        injector = run.injector
+        for event in injector.due(now):
+            injector.record(event, now, self._apply_fault(event, now, run))
 
     def _chaos_activate(self, replica: Replica, now: float) -> None:
         """Attestation gate: TEE replicas re-attest before readmission."""
-        assert self.attestation is not None
         if replica.state == ATTESTING and now >= replica.ready_s:
             if self.attestation.readmit(replica.replica_id):
                 replica.complete_attestation()
@@ -323,72 +325,68 @@ class FleetSimulator:
             # activate_if_ready flips the replica live.
             self.attestation.readmit(replica.replica_id)
 
-    def _check_timeouts(self, now: float, state: _ChaosState) -> None:
+    def _check_timeouts(self, now: float, run: _RunState) -> None:
         """Cancel and retry in-flight requests older than the timeout."""
-        if state.retry is None:
+        retry = self.retry_policy
+        if retry is None:
             return
-        for request_id in sorted(state.flights):
-            replica, routed_s = state.flights[request_id]
-            if now - routed_s <= state.retry.timeout_s:
+        for request_id in sorted(run.flights):
+            replica, routed_s = run.flights[request_id]
+            if now - routed_s <= retry.timeout_s:
                 continue
             cancelled = replica.cancel(request_id)
             if cancelled is None:
                 continue  # completed within this very tick
-            del state.flights[request_id]
             request, generated = cancelled
-            state.requeue_or_shed(request, now, generated)
+            self._requeue_or_shed(run, request, now, generated)
 
-    def _degrade(self, now: float, held: list[ServeRequest],
-                 state: _ChaosState) -> list[ServeRequest]:
+    def _degrade(self, now: float, run: _RunState) -> None:
         """Apply the degradation policy to overdue unroutable work."""
-        policy = state.degradation
+        policy = self.degradation
         if policy is None:
-            return held
-        overdue = [r for r in held
-                   if now - state.held_since.get(r.request_id, now)
+            return
+        overdue = [r for r in run.held
+                   if now - run.held_since.get(r.request_id, now)
                    > policy.max_hold_s]
         if not overdue:
-            return held
+            return
         if policy.mode == "spill":
             # Provision one emergency instance per tick until capped;
             # the overdue work keeps waiting for it to boot.
-            if state.spilled < policy.max_spill:
+            if run.spilled < policy.max_spill:
                 spec = policy.spill_spec or self.scale_spec
                 self._provision(spec, provisioned_s=now,
                                 boot_latency_s=policy.spill_boot_s,
                                 origin="spill")
-                state.spilled += 1
-            return held
+                run.spilled += 1
+            return
         # Shed mode: lowest priority goes first.
         victims = sorted(overdue,
                          key=lambda r: (r.priority, r.arrival_s,
                                         r.request_id))
         victim_ids = {r.request_id for r in victims}
         for request in victims:
-            state.shed_request(request, now, "degraded")
-        return [r for r in held if r.request_id not in victim_ids]
+            self._shed_request(run, request, now, "degraded")
+        run.held = [r for r in run.held if r.request_id not in victim_ids]
 
-    def _shed_unroutable(self, now: float, held: list[ServeRequest],
-                         state: _ChaosState) -> list[ServeRequest]:
+    def _shed_unroutable(self, now: float, run: _RunState) -> None:
         """Liveness guard: when no replica can ever serve again (all
         dead with no reboot pending, no autoscaler, spill exhausted),
         shed all queued work instead of ticking forever."""
-        if not (held or state.retry_queue):
-            return held
+        if not (run.held or run.retry_queue):
+            return
         if self.autoscaler is not None:
-            return held
+            return
         if any(r.state not in (RETIRED, FAILED) or r.restart_pending
                for r in self.replicas):
-            return held
-        policy = state.degradation
+            return
+        policy = self.degradation
         if (policy is not None and policy.mode == "spill"
-                and state.spilled < policy.max_spill):
-            return held
-        for request in held:
-            state.shed_request(request, now, "unroutable")
-        for request in state.retry_queue.drain():
-            state.shed_request(request, now, "unroutable")
-        return []
+                and run.spilled < policy.max_spill):
+            return
+        for request in run.held + run.retry_queue.drain():
+            self._shed_request(run, request, now, "unroutable")
+        run.held = []
 
     # -- event loop -----------------------------------------------------------
 
@@ -422,18 +420,14 @@ class FleetSimulator:
         if self._run is not None:
             raise ValueError("a run is already in progress; finish_run() "
                              "or restore into a fresh simulator")
-        state: _ChaosState | None = None
-        if self._chaos:
-            state = _ChaosState(self._make_injector(), self.retry_policy,
-                                self.degradation)
-            # TEE replicas attest before serving their first request.
-            for replica in self.replicas:
-                if needs_attestation(replica.spec.kind):
-                    assert self.attestation is not None
-                    self.attestation.readmit(replica.replica_id)
+        # TEE replicas attest before serving their first request.
+        for replica in self.replicas:
+            if needs_attestation(replica.spec.kind):
+                self.attestation.readmit(replica.replica_id)
         table = (requests if isinstance(requests, RequestTable)
                  else RequestTable.from_requests(requests))
-        self._run = _RunState(table, self.tick_s, len(self.active), state)
+        self._run = _RunState(table, self.tick_s, len(self.active),
+                              self._make_injector())
 
     @property
     def run_active(self) -> bool:
@@ -441,10 +435,8 @@ class FleetSimulator:
         run = self._run
         if run is None:
             return False
-        state = run.chaos
         has_pending = run.pending_head < len(run.pending_arrivals)
-        return bool(has_pending or run.held
-                    or (state is not None and state.retry_queue)
+        return bool(has_pending or run.held or run.retry_queue
                     or any(r.outstanding for r in self.replicas))
 
     @property
@@ -459,17 +451,12 @@ class FleetSimulator:
         run = self._run
         if run is None:
             raise ValueError("no run in progress; call begin_run() first")
-        state = run.chaos
         run.now += self.tick_s
         now = run.now
-        if state is not None:
-            self._chaos_tick(now, state)
-            self._autoscale(now, queued=len(run.held) + len(state.retry_queue))
-        else:
-            self._autoscale(now)
+        self._chaos_tick(now, run)
+        self._autoscale(now, run)
         for replica in self.replicas:
-            if state is not None:
-                self._chaos_activate(replica, now)
+            self._chaos_activate(replica, now)
             replica.activate_if_ready(now)
 
         due = run.held
@@ -481,51 +468,51 @@ class FleetSimulator:
             due.append(run.table.request(rows[head]))
             head += 1
         run.pending_head = head
-        if state is not None:
-            due.extend(state.retry_queue.pop_due(now))
+        due.extend(run.retry_queue.pop_due(now))
+        track_flights = self.retry_policy is not None
         for request in due:
+            request_id = request.request_id
             try:
                 replica = self.router.choose(request, self.replicas, now)
             except ValueError:
                 run.held.append(request)  # nothing live yet; retry next tick
-                if state is not None:
-                    state.held_since.setdefault(request.request_id, now)
+                run.held_since.setdefault(request_id, now)
                 continue
             replica.submit(request)
-            if state is not None:
-                state.held_since.pop(request.request_id, None)
-                made = state.attempts.get(request.request_id, 0) + 1
-                state.attempts[request.request_id] = made
-                if made > 1:
-                    state.retries += 1
-                state.flights[request.request_id] = (replica, now)
+            run.held_since.pop(request_id, None)
+            made = run.attempts.get(request_id, 0) + 1
+            if made > 1:
+                run.attempts[request_id] = made
+                run.retries += 1
+            if track_flights:
+                run.flights[request_id] = (replica, now)
 
         for replica in self.replicas:
             if replica.active:
-                self._log_finished(replica, replica.step(now), run, state)
+                self._log_finished(replica, replica.step(now), run)
                 replica.retire_if_drained(now)
         run.peak = max(run.peak, len(self.active))
 
-        if state is not None:
-            self._check_timeouts(now, state)
-            run.held = self._degrade(now, run.held, state)
-            run.held = self._shed_unroutable(now, run.held, state)
+        self._check_timeouts(now, run)
+        self._degrade(now, run)
+        self._shed_unroutable(now, run)
 
     def _log_finished(self, replica: Replica, finished: list[int],
-                      run: _RunState, state: _ChaosState | None) -> None:
+                      run: _RunState) -> None:
         """Record finished request ids in the columnar ledger.
 
         Copies each finished request's timeline triple out of the
-        scheduler and releases the id, so every scheduler's live dict
-        stays O(in-flight) over a million-request run.
+        scheduler and releases the id (and its resilience ledger
+        entries), so every live dict stays O(in-flight) over a
+        million-request run.
         """
         scheduler = replica.scheduler
         for request_id in finished:
             first, finish, preempted = scheduler.finished_triple(request_id)
             run.finished.record(request_id, first, finish, preempted)
             scheduler.release(request_id)
-            if state is not None:
-                state.flights.pop(request_id, None)
+            run.flights.pop(request_id, None)
+            run.attempts.pop(request_id, None)
 
     # -- quiet-tick jumping ---------------------------------------------------
 
@@ -541,21 +528,19 @@ class FleetSimulator:
         when no such instant exists (a pure drain: only scheduler-
         internal work remains).
         """
-        state = run.chaos
         candidates: list[float] = []
         if run.pending_head < len(run.pending_arrivals):
             candidates.append(run.pending_arrivals[run.pending_head])
-        if state is not None:
-            retry_due = state.retry_queue.next_due_s
-            if retry_due is not None:
-                candidates.append(retry_due)
-            injector_due = state.injector.next_due_s
-            if injector_due is not None:
-                candidates.append(injector_due)
-            if state.retry is not None and state.flights:
-                oldest = min(routed_s for _, routed_s
-                             in state.flights.values())
-                candidates.append(oldest + state.retry.timeout_s)
+        retry_due = run.retry_queue.next_due_s
+        if retry_due is not None:
+            candidates.append(retry_due)
+        injector_due = run.injector.next_due_s
+        if injector_due is not None:
+            candidates.append(injector_due)
+        retry = self.retry_policy
+        if retry is not None and run.flights:
+            oldest = min(routed_s for _, routed_s in run.flights.values())
+            candidates.append(oldest + retry.timeout_s)
         for replica in self.replicas:
             if replica.state in (BOOTING, ATTESTING):
                 candidates.append(replica.ready_s)
@@ -622,12 +607,11 @@ class FleetSimulator:
         if wake is not None and now >= wake:
             return  # float-accumulation safety net: tick normally instead
         run.now = now
-        state = run.chaos
         for replica in self.replicas:
             if replica.active:
                 finished = replica.step(now)
                 if finished:
-                    self._log_finished(replica, finished, run, state)
+                    self._log_finished(replica, finished, run)
 
     def finish_run(self) -> FleetReport:
         """Close out a completed run and build its report.
@@ -640,7 +624,6 @@ class FleetSimulator:
             raise ValueError("no run in progress")
         if self.run_active:
             raise ValueError("run still has outstanding work; keep ticking")
-        state = run.chaos
         # Replica clocks may overshoot the final tick; the fleet ends
         # when the last request completes.
         last_finish = run.finished.max_finish_s()
@@ -664,10 +647,10 @@ class FleetSimulator:
             total_preemptions=sum(r.scheduler.preemptions
                                   for r in self.replicas),
             peak_replicas=run.peak,
-            retries=state.retries if state else 0,
-            wasted_tokens=state.wasted_tokens if state else 0,
-            shed=tuple(state.shed) if state else (),
-            fault_events=tuple(state.injector.applied) if state else ())
+            retries=run.retries,
+            wasted_tokens=run.wasted_tokens,
+            shed=tuple(run.shed),
+            fault_events=tuple(run.injector.applied))
         self._run = None
         return report
 
@@ -707,30 +690,25 @@ class FleetSimulator:
         run = self._run
         run_state = None
         if run is not None:
-            chaos_state = None
-            state = run.chaos
-            if state is not None:
-                chaos_state = {
-                    "injector": state.injector.to_state(),
-                    "flights": {str(request_id): [replica.replica_id,
-                                                  routed_s]
-                                for request_id, (replica, routed_s)
-                                in state.flights.items()},
-                    "attempts": {str(request_id): count for request_id, count
-                                 in state.attempts.items()},
-                    "retry_heap": state.retry_queue.to_state(),
-                    "held_since": {str(request_id): since
-                                   for request_id, since
-                                   in state.held_since.items()},
-                    "shed": [{"request": shed.request.to_state(),
-                              "time_s": shed.time_s,
-                              "reason": shed.reason,
-                              "attempts": shed.attempts}
-                             for shed in state.shed],
-                    "wasted_tokens": state.wasted_tokens,
-                    "retries": state.retries,
-                    "spilled": state.spilled,
-                }
+            chaos_state = {
+                "injector": run.injector.to_state(),
+                "flights": {str(request_id): [replica.replica_id, routed_s]
+                            for request_id, (replica, routed_s)
+                            in run.flights.items()},
+                "attempts": {str(request_id): count for request_id, count
+                             in run.attempts.items()},
+                "retry_heap": run.retry_queue.to_state(),
+                "held_since": {str(request_id): since for request_id, since
+                               in run.held_since.items()},
+                "shed": [{"request": shed.request.to_state(),
+                          "time_s": shed.time_s,
+                          "reason": shed.reason,
+                          "attempts": shed.attempts}
+                         for shed in run.shed],
+                "wasted_tokens": run.wasted_tokens,
+                "retries": run.retries,
+                "spilled": run.spilled,
+            }
             run_state = {
                 "start_s": run.start,
                 "now_s": run.now,
@@ -745,14 +723,13 @@ class FleetSimulator:
         return {
             "engine": "event",
             "tick_s": self.tick_s,
-            "chaos_armed": self._chaos,
+            "chaos_armed": self._chaos_armed,
             "initial_replicas": len(self._initial_specs),
             "replicas": [replica.to_state() for replica in self.replicas],
             "router": self.router.to_state(),
             "autoscaler": (self.autoscaler.to_state()
                            if self.autoscaler is not None else None),
-            "attestation": (self.attestation.to_state()
-                            if self.attestation is not None else None),
+            "attestation": self.attestation.to_state(),
             "run": run_state,
         }
 
@@ -802,7 +779,8 @@ class FleetSimulator:
             raise StateIntegrityError(
                 f"snapshot engine {engine!r} is not 'event'; only "
                 f"columnar event-run snapshots restore")
-        if require(state, "chaos_armed", bool, "$.fleet") != self._chaos:
+        if require(state, "chaos_armed", bool, "$.fleet") \
+                != self._chaos_armed:
             raise StateIntegrityError(
                 "snapshot and simulator disagree on whether the chaos "
                 "machinery is armed")
@@ -827,83 +805,86 @@ class FleetSimulator:
         self.replicas = replicas
 
         self.router.from_state(require(state, "router", dict, "$.fleet"))
-        autoscaler_state = state.get("autoscaler")
-        if (autoscaler_state is None) != (self.autoscaler is None):
+        scaler = state.get("autoscaler")
+        if (scaler is None) != (self.autoscaler is None):
             raise StateIntegrityError(
                 "snapshot and simulator disagree on autoscaling")
         if self.autoscaler is not None:
-            self.autoscaler.from_state(autoscaler_state)
-        attestation_state = state.get("attestation")
-        if (attestation_state is None) != (self.attestation is None):
-            raise StateIntegrityError(
-                "snapshot and simulator disagree on attestation")
-        if self.attestation is not None:
-            self.attestation.from_state(attestation_state)
+            self.autoscaler.from_state(scaler)
+        self.attestation.from_state(
+            require(state, "attestation", dict, "$.fleet"))
 
-        run_state = state.get("run")
-        self._run = (None if run_state is None
-                     else self._run_from_state(run_state))
+        run = state.get("run")
+        self._run = None if run is None else self._run_from_state(run)
 
-    def _chaos_from_state(self, chaos_payload: dict | None,
-                          resolve) -> _ChaosState | None:
-        """Rebuild chaos bookkeeping from a snapshot.
+    def _chaos_from_state(self, payload: dict, run: _RunState,
+                          resolve) -> None:
+        """Install a snapshot's resilience ledgers into ``run``.
 
         ``resolve(request_id, where)`` maps a serialized request id
-        back to a request from the run's stream.
+        back to a request from the run's stream.  Every ledger entry is
+        checked here, so a malformed one is refused at restore instead
+        of crashing the resumed run.
         """
-        from ..state.errors import StateIntegrityError
+        from ..state.errors import StateIntegrityError, StateSchemaError
         from ..state.schema import require, require_finite
 
-        if chaos_payload is None:
-            if self._chaos:
-                raise StateIntegrityError(
-                    "simulator has fault machinery armed but the snapshot's "
-                    "run carries no chaos state")
-            return None
-        if not self._chaos:
-            raise StateIntegrityError(
-                "snapshot carries chaos state but this simulator has "
-                "no fault machinery armed")
-        chaos = _ChaosState(self._make_injector(), self.retry_policy,
-                            self.degradation)
-        chaos.injector.from_state(
-            require(chaos_payload, "injector", dict, "$.fleet.chaos"))
-        for key, entry in require(chaos_payload, "flights", dict,
-                                  "$.fleet.chaos").items():
-            replica_id, routed_s = entry
+        where = "$.fleet.chaos"
+
+        def ledger(key: str) -> tuple[dict, dict[int, str]]:
+            """A ledger and its serialized keys by integer request id."""
+            entries = require(payload, key, dict, where)
+            try:
+                return entries, {int(request_id): request_id
+                                 for request_id in entries}
+            except ValueError as error:
+                raise StateSchemaError(
+                    f"{where}.{key} is keyed by request id") from error
+
+        run.injector.from_state(require(payload, "injector", dict, where))
+        flights, keys = ledger("flights")
+        for request_id, key in keys.items():
+            path = f"{where}.flights.{key}"
+            entry = flights[key]
+            if not isinstance(entry, list) or len(entry) != 2:
+                raise StateSchemaError(
+                    f"{path} must be [replica id, routed_s], got {entry!r}")
+            flight = dict(zip(("replica_id", "routed_s"), entry))
+            replica_id = require(flight, "replica_id", int, path)
             if not 0 <= replica_id < len(self.replicas):
                 raise StateIntegrityError(
-                    f"flight for request {key} references unknown "
+                    f"flight for request {request_id} references unknown "
                     f"replica {replica_id}")
-            chaos.flights[int(key)] = (self.replicas[replica_id],
-                                       float(routed_s))
-        chaos.attempts = {int(key): count for key, count
-                          in require(chaos_payload, "attempts", dict,
-                                     "$.fleet.chaos").items()}
-        chaos.retry_queue.from_state(
-            require(chaos_payload, "retry_heap", list, "$.fleet.chaos"),
+            run.flights[request_id] = (
+                self.replicas[replica_id],
+                require_finite(flight, "routed_s", path))
+        attempts, keys = ledger("attempts")
+        for request_id, key in keys.items():
+            count = require(attempts, key, int, f"{where}.attempts")
+            if count < 1:
+                raise StateSchemaError(
+                    f"{where}.attempts.{key} must be an attempt count "
+                    f">= 1, got {count!r}")
+            run.attempts[request_id] = count
+        run.retry_queue.from_state(
+            require(payload, "retry_heap", list, where),
             lambda request_id: resolve(request_id, "retry heap"))
-        chaos.held_since = {int(key): float(since) for key, since
-                            in require(chaos_payload, "held_since", dict,
-                                       "$.fleet.chaos").items()}
-        chaos.shed = [
+        held_since, keys = ledger("held_since")
+        run.held_since = {
+            request_id: require_finite(held_since, key,
+                                       f"{where}.held_since")
+            for request_id, key in keys.items()}
+        run.shed = [
             ShedRequest(
                 request=ServeRequest.from_state(
-                    require(entry, "request", dict, "$.fleet.chaos.shed")),
-                time_s=require_finite(entry, "time_s",
-                                      "$.fleet.chaos.shed"),
-                reason=require(entry, "reason", str, "$.fleet.chaos.shed"),
-                attempts=require(entry, "attempts", int,
-                                 "$.fleet.chaos.shed"))
-            for entry in require(chaos_payload, "shed", list,
-                                 "$.fleet.chaos")]
-        chaos.wasted_tokens = require(chaos_payload, "wasted_tokens",
-                                      int, "$.fleet.chaos")
-        chaos.retries = require(chaos_payload, "retries", int,
-                                "$.fleet.chaos")
-        chaos.spilled = require(chaos_payload, "spilled", int,
-                                "$.fleet.chaos")
-        return chaos
+                    require(entry, "request", dict, f"{where}.shed")),
+                time_s=require_finite(entry, "time_s", f"{where}.shed"),
+                reason=require(entry, "reason", str, f"{where}.shed"),
+                attempts=require(entry, "attempts", int, f"{where}.shed"))
+            for entry in require(payload, "shed", list, where)]
+        run.wasted_tokens = require(payload, "wasted_tokens", int, where)
+        run.retries = require(payload, "retries", int, where)
+        run.spilled = require(payload, "spilled", int, where)
 
     def _run_from_state(self, run_state: dict) -> _RunState:
         """Rebuild an armed run from its columnar snapshot."""
@@ -925,8 +906,9 @@ class FleetSimulator:
                     f"{request_id!r}") from error
             return table.request(row)
 
-        chaos = self._chaos_from_state(run_state.get("chaos"), resolve)
-        run = _RunState(table, self.tick_s, 0, chaos)
+        run = _RunState(table, self.tick_s, 0, self._make_injector())
+        self._chaos_from_state(
+            require(run_state, "chaos", dict, "$.fleet.run"), run, resolve)
         head = require(run_state, "pending_head", int, "$.fleet.run")
         if not 0 <= head <= len(table):
             raise StateIntegrityError(

@@ -4,14 +4,14 @@ A snapshot payload is a plain dict of JSON primitives:
 
 .. code-block:: python
 
-    {"state_version": 1, "kind": "fleet_simulator", "state": {...}}
+    {"state_version": 2, "kind": "fleet_simulator", "state": {...}}
 
 ``state_version`` names the schema of the whole payload.  Restoring
 negotiates the version first (:func:`negotiate`): payloads newer than
 :data:`CURRENT_STATE_VERSION` are refused outright, older payloads are
 upgraded through the registered migration chain
 (:func:`register_migration`), and a same-version hook — the no-op
-v1→v1 migration — always runs so the negotiation path is exercised on
+v2→v2 migration — always runs so the negotiation path is exercised on
 every restore, not only on the rare upgrade.
 
 Validation (:func:`validate_payload`) walks the payload and rejects
@@ -38,11 +38,12 @@ from .errors import (
     StateVersionError,
 )
 
-#: Version written by this build's ``snapshot()``.
-CURRENT_STATE_VERSION = 1
+#: Version written by this build's ``snapshot()``.  v2: every fleet
+#: carries an attestation registry and, mid-run, resilience ledgers.
+CURRENT_STATE_VERSION = 2
 
 #: Versions this build can *restore from* (after migration).
-SUPPORTED_STATE_VERSIONS = (1,)
+SUPPORTED_STATE_VERSIONS = (1, 2)
 
 _MIGRATIONS: dict[int, Callable[[dict], dict]] = {}
 
@@ -53,7 +54,7 @@ def register_migration(from_version: int) -> Callable:
     For ``from_version < CURRENT_STATE_VERSION`` the hook must return a
     payload with a strictly larger ``state_version``; for
     ``from_version == CURRENT_STATE_VERSION`` it is a same-version
-    normalization hook run once per restore (the v1→v1 no-op below).
+    normalization hook run once per restore (the v2→v2 no-op below).
     """
 
     def install(func: Callable[[dict], dict]) -> Callable[[dict], dict]:
@@ -66,12 +67,28 @@ def register_migration(from_version: int) -> Callable:
 
 
 @register_migration(1)
-def _migrate_v1_to_v1(payload: dict) -> dict:
-    """No-op v1→v1 migration: current payloads pass through unchanged.
+def _migrate_v1_to_v2(payload: dict) -> dict:
+    """v1→v2: every fleet now keeps attestation and resilience ledgers.
 
-    Exists so the negotiation machinery runs on every restore and so
-    the first real migration (v1→v2) has a worked example to replace.
+    v1 fleets built without faults, retry policy or degradation wrote
+    them as ``null``; the registry cannot be rebuilt, so those payloads
+    are refused.  Every other v1 payload is already valid v2.
     """
+    state = payload.get("state")
+    run = state.get("run") if isinstance(state, dict) else None
+    if isinstance(state, dict) and (state.get("attestation", {}) is None
+                                    or isinstance(run, dict)
+                                    and run.get("chaos", {}) is None):
+        raise StateVersionError(
+            "v1 fleet snapshot without attestation registry or resilience "
+            "ledgers (built without faults, retry policy or degradation) "
+            "cannot be restored; rerun the fleet to regenerate it")
+    return dict(payload, state_version=2)
+
+
+@register_migration(2)
+def _migrate_v2_to_v2(payload: dict) -> dict:
+    """No-op same-version hook, so negotiation runs on every restore."""
     return payload
 
 

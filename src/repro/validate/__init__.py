@@ -14,8 +14,8 @@ A registry of named checks (``@check``) spanning four families:
   series with explicit tolerances and a ``--regen`` path,
 * **chaos** — fault-injection invariants over :mod:`repro.faults`:
   request conservation, billing bounds, deterministic replay, and the
-  zero-fault differential twin (armed-but-empty chaos machinery is
-  bit-identical to the fault-free simulator),
+  zero-fault differential twin (an empty schedule or a bare retry
+  policy is bit-identical to the fleet built without it),
 * **state** — checkpoint/restore parity over :mod:`repro.state`:
   mid-run snapshot → restore → completion bit-identical to an
   uninterrupted run, snapshot idempotence, schema-version negotiation,

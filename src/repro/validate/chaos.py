@@ -1,15 +1,16 @@
 """Chaos audit checks: fault-injection invariants (family ``chaos``).
 
 The resilience layer (:mod:`repro.faults`) must never change physics it
-does not model: arming the chaos machinery with an empty schedule has
-to reproduce the fault-free fleet bit-for-bit, and under any seeded
+does not model: an empty fault schedule or a bare retry policy has to
+reproduce the fleet built without them bit-for-bit, and under any seeded
 fault schedule the fleet must conserve requests (each one completed or
 shed exactly once), never bill a dead instance, and replay
 deterministically.  These checks pin all of that:
 
-* ``chaos.zero_fault_twin`` (differential in spirit) — a chaos-armed
-  run with an empty schedule is **bit-identical** to the fault-free
-  simulator, fixed fleet and autoscaled alike.
+* ``chaos.zero_fault_twin`` (differential in spirit) — a run with an
+  empty schedule or a bare retry policy is **bit-identical** to the
+  fleet built without either: fixed, autoscaled, and autoscaled over
+  a phased confidential boot (arrivals held while the fleet boots).
 * ``chaos.request_conservation`` — submitted == completed + shed with
   no duplicates, and routing counts reconcile with retries, across a
   grid of MTBF schedules.
@@ -40,6 +41,7 @@ from ..fleet import (
     poisson_table,
     replica_spec,
 )
+from ..tee.boot import boot_profile
 from .context import AuditContext
 from .golden import _golden
 from .registry import CheckFailure, check
@@ -57,29 +59,41 @@ def _stream(n: int = 14, seed: int = 11):
 @check("chaos.zero_fault_twin", family="chaos",
        layers=("faults", "fleet", "serving"))
 def zero_fault_twin(ctx: AuditContext) -> str:
-    """Chaos machinery armed with zero faults is bit-identical to the
-    fault-free simulator (differential twin)."""
-    cases = []
+    """An empty fault schedule or a bare retry policy is bit-identical
+    to the fleet built without either (differential twin)."""
     stream = _stream()
-    cases.append(("fixed/tdx",
-                  fixed_fleet(_spec(), 2).run(stream),
-                  fixed_fleet(_spec(), 2,
-                              faults=FaultSchedule.empty()).run(stream)))
-    cases.append(("fixed/cgpu",
-                  fixed_fleet(_spec("cgpu"), 2).run(stream),
-                  fixed_fleet(_spec("cgpu"), 2,
-                              faults=FaultSchedule.empty()).run(stream)))
+    empty = {"faults": FaultSchedule.empty()}
 
-    def autoscaled(faults):
-        scaler = ReactiveAutoscaler(AutoscalerConfig(
-            max_replicas=4, scale_up_load=3.0, scale_down_load=0.5,
-            cooldown_s=2.0, boot_latency_s=5.0))
-        return FleetSimulator([_spec()], autoscaler=scaler,
-                              faults=faults).run(stream)
-    cases.append(("autoscaled/tdx", autoscaled(None),
-                  autoscaled(FaultSchedule.empty())))
+    def fixed(kind):
+        return lambda **arm: fixed_fleet(_spec(kind), 2, **arm)
 
-    for label, bare, armed in cases:
+    def autoscaled(spec, **config):
+        return lambda **arm: FleetSimulator(
+            [spec], autoscaler=ReactiveAutoscaler(AutoscalerConfig(**config)),
+            **arm)
+
+    # The phased-boot fleet holds every arrival while its only replica
+    # boots; that held work is the load the autoscaler must scale on.
+    phased = replica_spec("tdx", max_batch=8, kv_capacity_tokens=16384,
+                          boot=boot_profile("tdx"))
+    cases = (
+        ("fixed/tdx", stream, fixed("tdx"), empty),
+        ("fixed/cgpu", stream, fixed("cgpu"), empty),
+        ("fixed/tdx+retry", stream, fixed("tdx"),
+         {"retry_policy": RetryPolicy()}),
+        ("autoscaled/tdx", stream,
+         autoscaled(_spec(), max_replicas=4, scale_up_load=3.0,
+                    scale_down_load=0.5, cooldown_s=2.0, boot_latency_s=5.0),
+         empty),
+        ("autoscaled/phased-tdx",
+         poisson_table(36, rate_per_s=6.0, mean_prompt=128, mean_output=48,
+                       seed=3),
+         autoscaled(phased, min_replicas=1, max_replicas=3,
+                    scale_up_load=2.0, scale_down_load=0.5, cooldown_s=4.0),
+         empty),
+    )
+    for label, requests, build, arm in cases:
+        bare, armed = build().run(requests), build(**arm).run(requests)
         bare_dict, armed_dict = bare.to_dict(), armed.to_dict()
         if bare_dict != armed_dict:
             diverged = [key for key in bare_dict
@@ -94,8 +108,8 @@ def zero_fault_twin(ctx: AuditContext) -> str:
                                                  b.finish_s):
                 raise CheckFailure(
                     f"{label}: request {a.request.request_id} timeline "
-                    f"diverged under the armed (empty) injector")
-    return f"{len(cases)} configs bit-identical with the injector armed"
+                    f"diverged with {', '.join(arm)} supplied")
+    return f"{len(cases)} configs bit-identical with the twin armed"
 
 
 def _conservation_case(kind: str, seed: int, n: int):

@@ -13,7 +13,7 @@ from never having stopped.  These checks pin that end to end:
   re-snapshot yields the identical payload (idempotence), and the
   steppable run loop composes to exactly ``run()``.
 * ``state.schema_negotiation`` — newer/unreachable ``state_version``
-  payloads are refused with the right error; the same-version v1→v1
+  payloads are refused with the right error; the same-version v2→v2
   hook runs on every restore; non-finite values are rejected with a
   JSON path.
 * ``state.wal_resume`` — an interrupted journaled sweep, reopened and
@@ -206,7 +206,7 @@ def state_schema_negotiation(ctx: AuditContext) -> str:
     except StateVersionError:
         pass
     if negotiate(dict(payload)) != payload:
-        raise CheckFailure("the v1->v1 no-op migration altered the payload")
+        raise CheckFailure("the same-version migration altered the payload")
 
     poisoned = dict(payload, state=dict(payload["state"],
                                         tick_s=float("inf")))
@@ -217,7 +217,7 @@ def state_schema_negotiation(ctx: AuditContext) -> str:
         if "tick_s" not in str(error):
             raise CheckFailure(
                 "non-finite rejection does not name the offending path")
-    return "newer/stale versions refused; v1->v1 hook is a no-op"
+    return "newer/stale versions refused; same-version hook is a no-op"
 
 
 @check("state.wal_resume", family="state",

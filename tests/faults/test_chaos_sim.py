@@ -6,10 +6,12 @@ from repro.faults import (
     DegradationPolicy,
     FaultSchedule,
     RetryPolicy,
+    mtbf_schedule,
     one_shot,
     recurring,
 )
 from repro.fleet import fixed_fleet, poisson_table, replica_spec
+from repro.fleet.replica import Replica
 
 TDX = replica_spec("tdx", max_batch=16, kv_capacity_tokens=65536)
 CGPU = replica_spec("cgpu", max_batch=16, kv_capacity_tokens=65536)
@@ -35,6 +37,59 @@ class TestZeroFaultTwin:
         bare = fixed_fleet(TDX, 2).run(requests)
         armed = fixed_fleet(TDX, 2, retry_policy=RetryPolicy()).run(requests)
         assert bare.to_dict() == armed.to_dict()
+
+
+class TestResilienceLedgers:
+    """Per-request ledgers hold only requests something reads them for,
+    so memory stays flat on fleets that never fail a request."""
+
+    @pytest.mark.parametrize("arm", [{}, {"faults": FaultSchedule.empty()}])
+    def test_overloaded_fleet_without_retries_keeps_no_ledgers(self, arm):
+        fleet = fixed_fleet(TDX, 1, **arm)
+        fleet.begin_run(stream(n=200, rate=50.0))
+        for _ in range(40):
+            fleet.run_tick()
+        assert fleet.run_active
+        chaos = fleet.to_state()["run"]["chaos"]
+        assert chaos["flights"] == {}
+        assert chaos["attempts"] == {}
+
+    def test_attempts_hold_only_failed_unfinished_requests(self, monkeypatch):
+        failed: set[int] = set()
+
+        def evacuating(method):
+            def wrapper(self, *args):
+                withdrawn = method(self, *args)
+                failed.update(request.request_id for request, _ in withdrawn)
+                return withdrawn
+            return wrapper
+
+        cancel = Replica.cancel
+
+        def cancelling(self, request_id):
+            withdrawn = cancel(self, request_id)
+            if withdrawn is not None:
+                failed.add(request_id)
+            return withdrawn
+
+        for name in ("crash", "begin_attestation"):
+            monkeypatch.setattr(Replica, name,
+                                evacuating(getattr(Replica, name)))
+        monkeypatch.setattr(Replica, "cancel", cancelling)
+        fleet = fixed_fleet(
+            TDX, 2, faults=mtbf_schedule([0, 1], mtbf_s=3.0, horizon_s=20.0,
+                                         seed=5),
+            retry_policy=RetryPolicy(timeout_s=4.0, max_attempts=4, seed=5))
+        fleet.begin_run(stream(n=30, rate=3.0))
+        seen = False
+        while fleet.run_active:
+            fleet.run_tick()
+            run = fleet.to_state()["run"]
+            attempts = {int(key) for key in run["chaos"]["attempts"]}
+            assert attempts <= failed
+            assert not attempts & set(run["finished"]["request_id"])
+            seen = seen or bool(attempts)
+        assert seen, "no request failed; the check is vacuous"
 
 
 class TestCrash:

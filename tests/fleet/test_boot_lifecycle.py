@@ -202,3 +202,26 @@ class TestFleetLifecycle:
         # autoscaler's 1s constant.
         for usage in scaled:
             assert usage.billed_hours >= total / 3600.0 * 0.99
+
+    def test_autoscaler_counts_held_arrivals_during_boot(self):
+        """Arrivals held while the only replica boots are load: the
+        first scale-up lands before that replica is ready, and an empty
+        fault schedule changes nothing."""
+        config = AutoscalerConfig(min_replicas=1, max_replicas=3,
+                                  scale_up_load=2.0, scale_down_load=0.5,
+                                  cooldown_s=4.0)
+        burst = poisson_table(36, rate_per_s=6.0, mean_prompt=128,
+                              mean_output=48, seed=3)
+
+        def serve(**arm):
+            sim = FleetSimulator([PHASED],
+                                 autoscaler=ReactiveAutoscaler(config),
+                                 **arm)
+            return sim, sim.run(burst)
+
+        sim, bare = serve()
+        _, armed = serve(faults=FaultSchedule.empty())
+        first_up = min(event.time_s for event in bare.scale_events
+                       if event.action == "up")
+        assert first_up < sim.replicas[0].ready_s
+        assert armed.to_dict() == bare.to_dict()

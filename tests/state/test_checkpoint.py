@@ -40,6 +40,20 @@ def _stream(n=6, seed=3):
                          mean_output=16, seed=seed)
 
 
+def _chaos_fleet():
+    return fixed_fleet(_spec(), 2,
+                       faults=mtbf_schedule([0, 1], mtbf_s=4.0,
+                                            horizon_s=10.0, seed=3),
+                       retry_policy=RetryPolicy(seed=1))
+
+
+def _mid_run_payload(fleet, ticks=8):
+    fleet.begin_run(_stream(n=12))
+    for _ in range(ticks):
+        fleet.run_tick()
+    return json.loads(json.dumps(snapshot(fleet)))
+
+
 class TestSnapshotShape:
     def test_payload_is_versioned_discriminated_strict_json(self):
         payload = snapshot(_fleet())
@@ -69,22 +83,12 @@ class TestSnapshotShape:
     def test_chaos_payload_with_retired_completed_key_resumes(self):
         """Older chaos payloads carry a ``completed`` id list that no
         longer exists; restore ignores it and resumes bit-identically."""
-        def chaos_fleet():
-            return fixed_fleet(_spec(), 2,
-                               faults=mtbf_schedule([0, 1], mtbf_s=4.0,
-                                                    horizon_s=10.0, seed=3),
-                               retry_policy=RetryPolicy(seed=1))
-        stream = _stream(n=12)
-        baseline = chaos_fleet().run(stream)
-        running = chaos_fleet()
-        running.begin_run(stream)
-        for _ in range(8):
-            running.run_tick()
-        payload = json.loads(json.dumps(snapshot(running)))
+        baseline = _chaos_fleet().run(_stream(n=12))
+        payload = _mid_run_payload(_chaos_fleet())
         chaos = payload["state"]["run"]["chaos"]
         assert "completed" not in chaos
         chaos["completed"] = [0, 1]
-        fresh = chaos_fleet()
+        fresh = _chaos_fleet()
         restore(fresh, payload)
         while fresh.run_active:
             fresh.run_tick()
@@ -134,6 +138,75 @@ class TestRestoreGuards:
         head["state"]["run"]["pending_head"] = len(_stream()) + 1
         with pytest.raises(StateIntegrityError, match="out of range"):
             restore(_fleet(), head)
+
+    @pytest.mark.parametrize("ledger,entry", [
+        ("flights", [0]),
+        ("flights", [1.0, 2.0]),
+        ("flights", [0, "x"]),
+        ("flights", "ab"),
+        ("flights", [0, None]),
+        ("flights", [True, 1.0]),
+        ("flights", [7, 1.0]),
+        ("attempts", "x"),
+        ("attempts", -3),
+        ("attempts", 0),
+        ("attempts", None),
+        ("attempts", 1.5),
+        ("attempts", True),
+        ("held_since", "x"),
+        ("held_since", None),
+    ])
+    def test_malformed_chaos_ledger_refused(self, ledger, entry):
+        """A malformed resilience-ledger entry is refused at restore
+        with a state error, not a bare ValueError/TypeError and not a
+        crash halfway through the resumed run."""
+        payload = _mid_run_payload(_chaos_fleet())
+        payload["state"]["run"]["chaos"][ledger]["0"] = entry
+        with pytest.raises((StateSchemaError, StateIntegrityError)):
+            restore(_chaos_fleet(), payload)
+
+    def test_non_integer_ledger_key_refused(self):
+        payload = _mid_run_payload(_chaos_fleet())
+        payload["state"]["run"]["chaos"]["attempts"]["r0"] = 2
+        with pytest.raises(StateSchemaError, match="request id"):
+            restore(_chaos_fleet(), payload)
+
+    @pytest.mark.parametrize("nulled", [("chaos",), ("attestation",),
+                                        ("chaos", "attestation")])
+    def test_unarmed_payload_without_ledgers_refused(self, nulled):
+        """v1 unarmed fleets wrote ``"chaos": null`` and
+        ``"attestation": null``; the v1->v2 migration refuses them by
+        name, and a current-version payload without them is malformed."""
+        payload = _mid_run_payload(_fleet(count=2), ticks=2)
+        for key in nulled:
+            holder = (payload["state"]["run"] if key == "chaos"
+                      else payload["state"])
+            holder[key] = None
+        with pytest.raises(StateSchemaError, match="|".join(nulled)):
+            restore(_fleet(count=2), payload)
+        payload["state_version"] = 1
+        with pytest.raises(StateVersionError,
+                           match="without attestation registry"):
+            restore(_fleet(count=2), payload)
+
+    def test_v1_armed_payload_migrates_and_resumes(self):
+        """Armed fleets already wrote every v2 field at v1."""
+        baseline = _chaos_fleet().run(_stream(n=12))
+        payload = _mid_run_payload(_chaos_fleet())
+        payload["state_version"] = 1
+        fresh = _chaos_fleet()
+        restore(fresh, payload)
+        while fresh.run_active:
+            fresh.run_tick()
+        assert fresh.finish_run().to_dict() == baseline.to_dict()
+
+    @pytest.mark.parametrize("armed_snapshot", [True, False])
+    def test_chaos_armed_mismatch_refused(self, armed_snapshot):
+        payload = _mid_run_payload(
+            _chaos_fleet() if armed_snapshot else _fleet(count=2), ticks=2)
+        target = _fleet(count=2) if armed_snapshot else _chaos_fleet()
+        with pytest.raises(StateIntegrityError, match="armed"):
+            restore(target, payload)
 
     @pytest.mark.parametrize("engine", ["stepped", None])
     def test_per_object_run_snapshot_refused(self, engine):

@@ -75,6 +75,15 @@ class TestNegotiate:
         with pytest.raises(StateVersionError, match="no migration"):
             negotiate(self._payload(0))
 
+    def test_v1_payload_upgrades_unless_it_lacks_fleet_ledgers(self):
+        assert negotiate(self._payload(1))["state_version"] \
+            == CURRENT_STATE_VERSION
+        unarmed = dict(self._payload(1),
+                       state={"attestation": None, "run": None})
+        with pytest.raises(StateVersionError,
+                           match="without attestation registry"):
+            negotiate(unarmed)
+
     def test_missing_or_bad_version_is_schema_error(self):
         with pytest.raises(StateSchemaError):
             negotiate({"kind": "fleet_simulator"})
@@ -86,7 +95,8 @@ class TestNegotiate:
             negotiate(["not", "a", "dict"])
 
     def test_same_version_hook_runs_on_every_restore(self):
-        """The v1->v1 no-op migration is exercised, not just registered."""
+        """The same-version no-op migration is exercised, not just
+        registered."""
         calls = []
         original = _MIGRATIONS[CURRENT_STATE_VERSION]
 
