@@ -35,11 +35,11 @@ def simulate_cached(workload: Workload, deployment: Deployment,
         key, lambda: simulate_generation(workload, deployment, **kwargs))
 
 
-def print_rows(title: str, rows: list[dict], order: list[str] | None = None) -> None:
+def print_rows(title: str, rows: list[dict]) -> None:
     """Print a list of dict rows as an aligned table."""
     if not rows:
         raise ValueError("no rows to print")
-    columns = order or list(rows[0])
+    columns = list(rows[0])
     widths = {col: max(len(col), *(len(_fmt(row[col])) for row in rows))
               for col in columns}
     print(f"\n=== {title} ===")

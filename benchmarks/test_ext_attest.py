@@ -31,23 +31,19 @@ Findings:
 
 from helpers import print_rows, run_once
 
-from repro.tee.boot import (
-    TAX_FLEET_KINDS,
-    TAX_ROW_FIELDS,
-    attest_tax_sweep,
-    boot_breakdown,
-)
+from repro.state import SweepRunner, attest_grid
+from repro.tee.boot import TAX_FLEET_KINDS, boot_breakdown
 
 
 def regenerate() -> dict:
-    return {"tax": attest_tax_sweep(), "boot": boot_breakdown()}
+    tax = list(SweepRunner(None, attest_grid()).run().values())
+    return {"tax": tax, "boot": boot_breakdown()}
 
 
 def test_ext_attest(benchmark):
     data = run_once(benchmark, regenerate)
     print_rows("Phased confidential boot breakdown (s)", data["boot"])
-    print_rows("Attestation tax vs legacy instant boot",
-               data["tax"], order=list(TAX_ROW_FIELDS))
+    print_rows("Attestation tax vs legacy instant boot", data["tax"])
 
     boot = {row["kind"]: row for row in data["boot"]}
     tax = {(row["kind"], row["scenario"]): row for row in data["tax"]}

@@ -1,8 +1,8 @@
 """Chaos extension — serving economics as replicas start failing.
 
 The paper's cost comparison (§V-D) assumes immortal replicas.  This
-bench replays the committed MTBF sweep from :mod:`repro.faults.sweep`
-(the series the ``golden.chaos_mtbf`` audit check snapshots): the same
+bench replays the committed MTBF sweep (:func:`repro.state.chaos_grid`,
+run in memory; the series the ``golden.chaos_mtbf`` audit check snapshots): the same
 seeded request stream against single-replica TDX and cGPU fleets under
 hazard-rate fault schedules at decreasing mean-time-between-failures,
 with seeded timeout/retry recovery.
@@ -17,13 +17,14 @@ tokens than the *fault-free* cGPU fleet.
 
 from helpers import print_rows, run_once
 
-from repro.faults.sweep import DEFAULT_MTBF_GRID_S, mtbf_sweep
+from repro.faults.sweep import DEFAULT_MTBF_GRID_S
+from repro.state import SweepRunner, chaos_grid
 
 KINDS = ("tdx", "cgpu")
 
 
 def regenerate() -> dict:
-    rows = mtbf_sweep()
+    rows = list(SweepRunner(None, chaos_grid()).run().values())
     by_point = {(r["kind"], r["mtbf_s"]): r for r in rows}
     return {"rows": rows, "by_point": by_point}
 

@@ -1,8 +1,8 @@
 """Fleet extension — capacity planning and $/Mtok at a TTFT SLO.
 
 The paper prices single instances; operators buy fleets.  This bench
-runs the capacity-planning sweep from :mod:`repro.fleet` over the same
-fixed arrival trace the ``golden.fleet_capacity`` audit check pins:
+runs the capacity-planning sweep (:func:`repro.state.capacity_grid`,
+run in memory) over the same fixed arrival trace the ``golden.fleet_capacity`` audit check pins:
 grow TDX and cGPU fleets one replica at a time until p99 TTFT meets a
 2 s SLO, then compare what the SLO actually costs per million tokens.
 
@@ -14,29 +14,19 @@ horizontal scaling.
 
 from helpers import print_rows, run_once
 
-from repro.fleet import capacity_sweep, replica_spec, trace_replay
+from repro.fleet import CapacityPlan
+from repro.state import SweepRunner, capacity_grid
 from repro.validate.fleet import CAPACITY_SLO_TTFT_S, CAPACITY_TRACE
 
 KINDS = ("tdx", "cgpu")
 
 
 def regenerate() -> dict:
-    requests = trace_replay(CAPACITY_TRACE)
-    specs = {kind: replica_spec(kind, max_batch=16,
-                                kv_capacity_tokens=65536) for kind in KINDS}
-    plans = capacity_sweep(list(specs.values()), requests,
-                           slo_ttft_s=CAPACITY_SLO_TTFT_S, max_replicas=6)
-    rows = []
-    for kind, plan in plans.items():
-        for point in plan.points:
-            rows.append({
-                "kind": kind,
-                "replicas": point.replicas,
-                "p99_ttft_s": point.p99_ttft_s,
-                "attainment": point.attainment,
-                "usd_per_mtok": point.usd_per_mtok,
-                "meets_slo": point.meets_slo,
-            })
+    spec = capacity_grid(kinds=KINDS, max_replicas=6,
+                         slo_ttft_s=CAPACITY_SLO_TTFT_S)
+    rows = list(SweepRunner(None, spec).run().values())
+    plans = {kind: CapacityPlan.from_rows(kind, rows, CAPACITY_SLO_TTFT_S)
+             for kind in KINDS}
     return {"rows": rows, "plans": plans}
 
 

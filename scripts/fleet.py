@@ -15,6 +15,8 @@ Usage::
         --max-replicas 6 --arrivals diurnal --rate 4 --count 150
     PYTHONPATH=src python scripts/fleet.py sweep --slo-ttft 2.0 \\
         --kinds tdx,cgpu --max-replicas 6 [--json plan.json]
+    PYTHONPATH=src python scripts/fleet.py sweep --resume runs/plan \\
+        --arrivals poisson --phased-boot [--point-timeout 60]
     PYTHONPATH=src python scripts/fleet.py tenants --kind tdx --replicas 2 \\
         --admission wfq --kv-isolation shared-prefix --count 120 --inflation
     PYTHONPATH=src python scripts/fleet.py boot --tax [--resume RUN_DIR]
@@ -25,6 +27,14 @@ overrides it.  ``--phased-boot`` arms the per-kind phased confidential
 boot profiles (:mod:`repro.tee.boot`) instead of instant boots; ``boot``
 prints the per-phase breakdown and (with ``--tax``) the attestation-tax
 table the ``golden.attest_tax`` audit snapshot pins.
+
+Both sweeps run their registered grid (:mod:`repro.state.points`)
+through one point loop.  ``--resume RUN_DIR`` takes every other flag
+and only adds a run directory: rows are write-ahead journaled there,
+and rerunning the same command (or ``scripts/resume.py RUN_DIR``)
+continues after a crash or SIGKILL with output identical to a plain
+run's, apart from the run-dir status line.  ``--point-timeout`` needs
+``--resume``, and ``boot --resume`` needs ``--tax``.
 """
 
 from __future__ import annotations
@@ -40,21 +50,18 @@ from repro.fleet import (  # noqa: E402
     ARRIVAL_KINDS,
     AutoscalerConfig,
     CapacityPlan,
-    CapacityPoint,
     FleetReport,
     FleetSimulator,
     ROUTER_KINDS,
     ReactiveAutoscaler,
-    iter_capacity_points,
     make_arrival_table,
     make_router,
     replica_spec,
-    trace_replay,
 )
 from repro.serving import ADMISSION_POLICIES, KV_ISOLATION_MODES  # noqa: E402
+from repro.state import SweepRunner, attest_grid, capacity_grid  # noqa: E402
 from repro.tee.boot import (  # noqa: E402
     TAX_TEE_KINDS,
-    attest_tax_sweep,
     boot_breakdown,
     boot_profile,
 )
@@ -152,77 +159,56 @@ def cmd_autoscale(args: argparse.Namespace) -> int:
     return 0
 
 
-def _plan_from_points(kind: str, points: list[CapacityPoint],
-                      slo_ttft_s: float, percentile: float) -> CapacityPlan:
-    needed = next((p.replicas for p in points if p.meets_slo), None)
-    return CapacityPlan(kind=kind, slo_ttft_s=slo_ttft_s,
-                        percentile=percentile, points=tuple(points),
-                        replicas_needed=needed)
+def _sweep_runner(args: argparse.Namespace, spec, note: str = ""):
+    """Run ``spec`` in memory, or journaled into ``--resume RUN_DIR``."""
+    if args.resume is None:
+        return SweepRunner(None, spec)
+    runner = SweepRunner.create(args.resume, spec)
+    print(f"run dir {args.resume}: {len(runner.completed())}/"
+          f"{len(spec.points)} points journaled, "
+          f"{len(runner.pending())} to go{note}")
+    return runner
+
+
+def _print_quarantined(runner) -> None:
+    quarantined = runner.quarantined()
+    if quarantined:
+        _print_rows("quarantined points", [
+            {"index": q["index"], "key": q["key"],
+             "attempts": q["attempts"], "error": q["error"]}
+            for q in quarantined.values()])
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     kinds = args.kinds.split(",")
+    spec = capacity_grid(
+        kinds=tuple(kinds), max_replicas=args.max_replicas,
+        slo_ttft_s=args.slo_ttft, percentile=args.percentile,
+        arrivals=args.arrivals, num_requests=args.count, rate_rps=args.rate,
+        mean_prompt=args.mean_prompt, mean_output=args.mean_output,
+        seed=args.seed, phased_boot=args.phased_boot,
+        admission_lookahead=args.admission_lookahead, router=args.router,
+        point_timeout_s=args.point_timeout)
+    runner = _sweep_runner(args, spec, " (SLO-met sizes prune the rest of "
+                                       "their kind)")
     # Partial results stream as each fleet size lands (append when
     # resuming: the run directory's WAL already holds earlier rows).
     stream = (open(args.jsonl, "a" if args.resume else "w",
                    encoding="utf-8") if args.jsonl else None)
 
-    def emit(row: dict) -> None:
+    def emit(point, row: dict) -> None:
         if stream is not None:
             stream.write(json.dumps(row, sort_keys=True) + "\n")
             stream.flush()
 
-    quarantined: dict[int, dict] = {}
     try:
-        if args.resume:
-            if args.arrivals is not None or args.percentile != 99.0 \
-                    or args.phased_boot:
-                print("--resume pins the committed capacity trace at p99 "
-                      "with instant boots; drop --arrivals/--percentile/"
-                      "--phased-boot", file=sys.stderr)
-                return 2
-            from repro.state import SweepRunner, capacity_grid
-            spec = capacity_grid(kinds=tuple(kinds),
-                                 max_replicas=args.max_replicas,
-                                 slo_ttft_s=args.slo_ttft,
-                                 point_timeout_s=args.point_timeout)
-            runner = SweepRunner.create(args.resume, spec)
-            done = len(runner.completed())
-            print(f"run dir {args.resume}: {done}/{len(spec.points)} points "
-                  f"journaled, {len(runner.pending())} to go "
-                  f"(SLO-met sizes prune the rest of their kind)")
-            by_index = runner.run(on_row=lambda point, row: emit(row))
-            quarantined = runner.quarantined()
-            requests = trace_replay(CAPACITY_TRACE)
-            by_kind: dict[str, list[CapacityPoint]] = {k: [] for k in kinds}
-            for index in sorted(by_index):
-                point = CapacityPoint(**by_index[index])
-                by_kind[point.kind].append(point)
-            plans = {kind: _plan_from_points(kind, points, args.slo_ttft,
-                                             99.0)
-                     for kind, points in by_kind.items()}
-        else:
-            if args.arrivals:
-                requests = _arrivals(args)
-            else:
-                requests = trace_replay(CAPACITY_TRACE)
-            plans = {}
-            for kind in kinds:
-                spec = replica_spec(
-                    kind, max_batch=16, kv_capacity_tokens=65536,
-                    admission_lookahead=args.admission_lookahead,
-                    boot=_boot(args, kind))
-                points = []
-                for point in iter_capacity_points(
-                        spec, requests, args.slo_ttft, args.percentile,
-                        args.max_replicas):
-                    emit(point.to_dict())
-                    points.append(point)
-                plans[kind] = _plan_from_points(kind, points, args.slo_ttft,
-                                                args.percentile)
+        by_index = runner.run(on_row=emit)
     finally:
         if stream is not None:
             stream.close()
+    plans = {kind: CapacityPlan.from_rows(kind, by_index.values(),
+                                          args.slo_ttft, args.percentile)
+             for kind in kinds}
     rows = []
     for kind, plan in plans.items():
         for point in plan.points:
@@ -231,8 +217,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                          "attainment": point.attainment,
                          "usd_per_mtok": point.usd_per_mtok,
                          "meets_slo": point.meets_slo})
+    num_requests = args.count if args.arrivals else len(CAPACITY_TRACE)
     _print_rows(f"capacity sweep (p{args.percentile:.0f} TTFT <= "
-                f"{args.slo_ttft:.1f}s, {len(requests)} requests)", rows)
+                f"{args.slo_ttft:.1f}s, {num_requests} requests)", rows)
     print()
     for kind, plan in plans.items():
         if plan.replicas_needed is None:
@@ -241,11 +228,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         else:
             print(f"{kind:>10}: {plan.replicas_needed} replica(s), "
                   f"${plan.usd_per_mtok_at_slo:.2f}/Mtok at SLO")
-    if quarantined:
-        _print_rows("quarantined points", [
-            {"index": q["index"], "key": q["key"],
-             "attempts": q["attempts"], "error": q["error"]}
-            for q in quarantined.values()])
+    _print_quarantined(runner)
     if args.json:
         payload = {kind: plan.to_dict() for kind, plan in plans.items()}
         args.json.write_text(json.dumps(payload, indent=2) + "\n")
@@ -295,20 +278,12 @@ def cmd_boot(args: argparse.Namespace) -> int:
     _print_rows("phased boot breakdown (seconds per phase)", rows)
     if not args.tax:
         return 0
-    if args.resume:
-        from repro.state import SweepRunner, attest_grid
-        spec = attest_grid(slo_ttft_s=args.slo_ttft,
-                           point_timeout_s=args.point_timeout)
-        runner = SweepRunner.create(args.resume, spec)
-        print(f"\nrun dir {args.resume}: {len(runner.completed())}/"
-              f"{len(spec.points)} points journaled, "
-              f"{len(runner.pending())} to go")
-        by_index = runner.run()
-        tax_rows = [by_index[index] for index in sorted(by_index)]
-    else:
-        tax_rows = attest_tax_sweep(slo_ttft_s=args.slo_ttft)
+    runner = _sweep_runner(args, attest_grid(
+        slo_ttft_s=args.slo_ttft, point_timeout_s=args.point_timeout))
+    tax_rows = list(runner.run().values())
     _print_rows("attestation tax (phased vs legacy instant boots)",
                 tax_rows)
+    _print_quarantined(runner)
     if args.json:
         args.json.write_text(json.dumps(
             {"breakdown": rows, "tax": tax_rows}, indent=2) + "\n")
@@ -431,6 +406,11 @@ def main(argv: list[str] | None = None) -> int:
     boot_p.set_defaults(func=cmd_boot)
 
     args = parser.parse_args(argv)
+    if getattr(args, "point_timeout", None) is not None \
+            and args.resume is None:
+        parser.error("--point-timeout needs --resume RUN_DIR")
+    if args.command == "boot" and args.resume is not None and not args.tax:
+        parser.error("--resume needs --tax (only the tax table is a sweep)")
     if getattr(args, "kind", None) is None and hasattr(args, "kind"):
         args.kind = ["tdx"]
     return args.func(args)

@@ -37,7 +37,7 @@ from .schedule import (
 #: Lazily resolved from :mod:`repro.faults.sweep`, which imports
 #: :mod:`repro.fleet` (itself an importer of this package).
 _SWEEP_EXPORTS = ("DEFAULT_KINDS", "DEFAULT_MTBF_GRID_S", "chaos_fleet",
-                  "mtbf_sweep", "sweep_row")
+                  "sweep_row")
 
 __all__ = [
     "AppliedFault",

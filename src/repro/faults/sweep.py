@@ -2,10 +2,12 @@
 
 The paper's §V-D cost comparison (TDX vs confidential GPU $/Mtok at a
 TTFT SLO) assumes immortal replicas; this module quantifies how the
-conclusion erodes when replicas fail.  :func:`mtbf_sweep` runs the
-same fleet and request stream under hazard-rate fault schedules at
-decreasing MTBF and reports, per backend, the SLO attainment and the
-dollars per million *good* tokens — the cost of goodput including the
+conclusion erodes when replicas fail.  The MTBF sweep
+(:func:`repro.state.points.chaos_grid`) runs the same fleet and request
+stream under hazard-rate fault schedules at decreasing MTBF; this
+module builds its fleets (:func:`chaos_fleet`) and rows
+(:func:`sweep_row`): per backend, the SLO attainment and the dollars
+per million *good* tokens — the cost of goodput including the
 instance-hours burned on retried and wasted work.
 
 Everything is seeded; the sweep is bit-reproducible and snapshotted by
@@ -14,7 +16,6 @@ the ``golden.chaos_mtbf`` audit check.
 
 from __future__ import annotations
 
-from ..fleet.arrivals import poisson_table
 from ..fleet.cluster import FleetSimulator, fixed_fleet
 from ..fleet.replica import replica_spec
 from ..fleet.report import FleetReport
@@ -58,9 +59,8 @@ def chaos_fleet(kind: str, replicas: int = 2,
     return fixed_fleet(spec, replicas, faults=schedule, retry_policy=retry)
 
 
-#: Canonical column order of :func:`sweep_row` — JSON round-trips (the
-#: resumable runner's WAL) sort keys, so tables rebuilt from restored
-#: rows reorder through this.
+#: Column order of :func:`sweep_row` (registered with the sweep runner,
+#: which restores it on rows read back from a journal).
 ROW_FIELDS = ("kind", "mtbf_s", "slo_attainment", "usd_per_mtok",
               "cost_usd", "goodput_cost_usd", "wasted_cost_usd",
               "completed", "shed", "retries", "wasted_tokens",
@@ -86,49 +86,3 @@ def sweep_row(kind: str, mtbf_s: float | None, report: FleetReport,
         "fault_events": len(report.fault_events),
         "makespan_s": report.makespan_s,
     }
-
-
-def iter_mtbf_rows(kinds: tuple[str, ...] = DEFAULT_KINDS,
-                   mtbf_grid_s: tuple[float | None, ...]
-                   = DEFAULT_MTBF_GRID_S,
-                   num_requests: int = 36, rate_rps: float = 1.5,
-                   mean_prompt: int = 128, mean_output: int = 64,
-                   replicas: int = 1, seed: int = 7,
-                   slo_ttft_s: float = 2.0, timeout_s: float = 20.0,
-                   horizon_s: float = 40.0):
-    """Yield :func:`mtbf_sweep` rows one completed point at a time.
-
-    The streaming form exists so CLIs can emit partial results (JSONL)
-    as each grid point lands instead of buffering the whole sweep — an
-    interrupted sweep then keeps everything already computed.
-    """
-    for kind in kinds:
-        for mtbf_s in mtbf_grid_s:
-            requests = poisson_table(num_requests, rate_rps, mean_prompt,
-                                     mean_output, seed=seed)
-            fleet = chaos_fleet(kind, replicas=replicas, mtbf_s=mtbf_s,
-                                horizon_s=horizon_s, seed=seed,
-                                timeout_s=timeout_s)
-            report = fleet.run(requests)
-            yield sweep_row(kind, mtbf_s, report, slo_ttft_s)
-
-
-def mtbf_sweep(kinds: tuple[str, ...] = DEFAULT_KINDS,
-               mtbf_grid_s: tuple[float | None, ...] = DEFAULT_MTBF_GRID_S,
-               num_requests: int = 36, rate_rps: float = 1.5,
-               mean_prompt: int = 128, mean_output: int = 64,
-               replicas: int = 1, seed: int = 7,
-               slo_ttft_s: float = 2.0, timeout_s: float = 20.0,
-               horizon_s: float = 40.0) -> list[dict]:
-    """SLO attainment and $/Mtok vs replica MTBF, per backend.
-
-    One row per ``(kind, mtbf)`` point, same seeded Poisson stream
-    everywhere, ``mtbf=None`` first as the fault-free anchor.  The
-    default is a single replica per backend, so every crash stalls the
-    stream until repair — the configuration where the slower CPU TEE's
-    longer exposure per request shows up most clearly against the
-    faster confidential GPU.
-    """
-    return list(iter_mtbf_rows(kinds, mtbf_grid_s, num_requests, rate_rps,
-                               mean_prompt, mean_output, replicas, seed,
-                               slo_ttft_s, timeout_s, horizon_s))

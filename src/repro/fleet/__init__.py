@@ -24,9 +24,6 @@ from .cluster import DEFAULT_TICK_S, FleetSimulator, fixed_fleet
 from .planner import (
     CapacityPlan,
     CapacityPoint,
-    capacity_plan,
-    capacity_sweep,
-    iter_capacity_points,
     evaluate_fleet,
 )
 from .replica import REPLICA_KINDS, Replica, ReplicaSpec, replica_spec
@@ -65,9 +62,6 @@ __all__ = [
     "RoundRobinRouter",
     "Router",
     "ScaleEvent",
-    "capacity_plan",
-    "capacity_sweep",
-    "iter_capacity_points",
     "diurnal_table",
     "evaluate_fleet",
     "fixed_fleet",

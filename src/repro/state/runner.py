@@ -1,9 +1,11 @@
-"""Crash-safe sweep runner: write-ahead journal + watchdog supervision.
+"""The sweep runner: one point loop, optionally journaled and supervised.
 
 A sweep is a grid of :class:`GridPoint` entries, each naming a
 registered point runner (:mod:`repro.state.points`) and its JSON
-parameters.  :class:`SweepRunner` executes the grid against a *run
-directory* with these guarantees:
+parameters.  :class:`SweepRunner` is the only way a fleet sweep runs.
+Without a run directory it runs the grid in memory: nothing touches
+disk, and a failing point raises.  Against a *run directory* it adds
+these guarantees:
 
 * **Durability** — every completed point is appended to
   ``results.jsonl`` with flush+fsync *before* the runner moves on
@@ -181,17 +183,19 @@ class PointContext:
     A runner calls :meth:`resume_payload` once to pick up a mid-point
     snapshot left by a killed/timed-out attempt, and
     :meth:`checkpoint` at its own cadence (gated by
-    :attr:`checkpoint_every_s`) to leave one.
+    :attr:`checkpoint_every_s`) to leave one.  An in-memory sweep has
+    no ``snapshot_path`` and a zero cadence: nothing to resume, nothing
+    to write.
     """
 
-    def __init__(self, snapshot_path: Path,
+    def __init__(self, snapshot_path: Path | None,
                  checkpoint_every_s: float) -> None:
-        self.snapshot_path = Path(snapshot_path)
+        self.snapshot_path = snapshot_path
         self.checkpoint_every_s = checkpoint_every_s
 
     def resume_payload(self) -> dict | None:
         """The point's last checkpoint, if one survives on disk."""
-        if not self.snapshot_path.exists():
+        if self.snapshot_path is None or not self.snapshot_path.exists():
             return None
         from .checkpoint import read_snapshot
         return read_snapshot(self.snapshot_path)
@@ -251,15 +255,25 @@ def read_journal(path: Path) -> list[dict]:
 
 
 class SweepRunner:
-    """Execute a :class:`SweepSpec` against a durable run directory.
+    """Execute a :class:`SweepSpec`, in memory or against a run directory.
 
-    Build with :meth:`create` (new or matching directory) or
-    :meth:`open` (existing directory).  :meth:`run` then executes
+    ``SweepRunner(None, spec)`` runs the grid in memory.  For a durable
+    run directory build with :meth:`create` (new or matching directory)
+    or :meth:`open` (existing directory).  :meth:`run` then executes
     whatever the journal says is still missing.
+
+    Raises:
+        StateValueError: If an in-memory spec asks for mid-point
+            checkpoints or a watchdog; both need a run directory.
     """
 
-    def __init__(self, run_dir: Path, spec: SweepSpec) -> None:
-        self.run_dir = Path(run_dir)
+    def __init__(self, run_dir: Path | None, spec: SweepSpec) -> None:
+        if run_dir is None and (spec.checkpoint_every_s > 0
+                                or spec.point_timeout_s is not None):
+            raise StateValueError(
+                "checkpoint_every_s and point_timeout_s need a run "
+                "directory")
+        self.run_dir = None if run_dir is None else Path(run_dir)
         self.spec = spec
 
     # -- construction ---------------------------------------------------------
@@ -312,8 +326,13 @@ class SweepRunner:
         return self.run_dir / QUARANTINE_FILE
 
     def completed(self) -> dict[int, dict]:
-        """Completed rows by point index, from the WAL."""
+        """Completed rows by point index, from the WAL, each in its
+        runner's column order (:func:`repro.state.points.ordered_row`)."""
+        from .points import ordered_row
+
         rows: dict[int, dict] = {}
+        if self.run_dir is None:
+            return rows
         for record in read_journal(self.results_path):
             index = require(record, "index", int, "$.journal")
             if index in rows:
@@ -322,12 +341,16 @@ class SweepRunner:
             if not 0 <= index < len(self.spec.points):
                 raise StateJournalError(
                     f"journal row for unknown point {index}")
-            rows[index] = require(record, "row", dict, "$.journal")
+            rows[index] = ordered_row(self.spec.points[index].runner,
+                                      require(record, "row", dict,
+                                              "$.journal"))
         return rows
 
     def quarantined(self) -> dict[int, dict]:
         """Quarantined points by index (error + attempt count)."""
         entries: dict[int, dict] = {}
+        if self.run_dir is None:
+            return entries
         for record in read_journal(self.quarantine_path):
             entries[require(record, "index", int, "$.quarantine")] = record
         return entries
@@ -361,7 +384,9 @@ class SweepRunner:
                 pruned[point.group] = index
         return pruned
 
-    def _snapshot_path(self, point: GridPoint) -> Path:
+    def _snapshot_path(self, point: GridPoint) -> Path | None:
+        if self.run_dir is None:
+            return None
         return self.run_dir / SNAPSHOT_DIR / f"point_{point.index}.json"
 
     # -- execution ------------------------------------------------------------
@@ -426,6 +451,10 @@ class SweepRunner:
             sleep: Callable[[float], None] = time.sleep) -> dict[int, dict]:
         """Execute pending points; return all completed rows by index.
 
+        Rows are keyed in index order, each in its runner's column
+        order.  In memory the first failing point raises: there is no
+        journal to quarantine it into.
+
         Args:
             max_points: Stop after completing this many *new* points
                 (``None`` = run the whole grid).  Used by crash tests
@@ -435,6 +464,7 @@ class SweepRunner:
             sleep: Injectable backoff sleep (tests pass a recorder).
         """
         from ..faults.resilience import RetryPolicy
+        from .points import ordered_row
 
         retry = RetryPolicy(timeout_s=max(self.spec.point_timeout_s or 1.0,
                                           1e-9),
@@ -464,6 +494,8 @@ class SweepRunner:
                 except (StateJournalError, KeyboardInterrupt):
                     raise
                 except Exception as error:  # noqa: BLE001 - supervised
+                    if self.run_dir is None:
+                        raise
                     failure = error
                     if attempt < self.spec.max_attempts:
                         sleep(retry.backoff_s(point.index, attempt))
@@ -475,14 +507,16 @@ class SweepRunner:
                 })
                 bad[point.index] = {"index": point.index}
                 continue
+            row = ordered_row(point.runner, row)
             # WAL first, then cleanup: the row is durable before the
             # point's checkpoint is dropped, so a kill between the two
             # re-reads a completed point and simply skips it.
-            _append_jsonl(self.results_path, {
-                "index": point.index, "key": point.key, "row": row,
-            })
-            PointContext(self._snapshot_path(point),
-                         self.spec.checkpoint_every_s).clear()
+            if self.run_dir is not None:
+                _append_jsonl(self.results_path, {
+                    "index": point.index, "key": point.key, "row": row,
+                })
+                PointContext(self._snapshot_path(point),
+                             self.spec.checkpoint_every_s).clear()
             done[point.index] = row
             fresh += 1
             if self.spec.prune_field and point.group \
@@ -491,4 +525,4 @@ class SweepRunner:
                 pruned[point.group] = point.index
             if on_row is not None:
                 on_row(point, row)
-        return done
+        return dict(sorted(done.items()))

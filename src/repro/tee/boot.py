@@ -301,7 +301,8 @@ TAX_FLEET_KINDS = ("tdx", "cgpu")
 #: boots — pinned by ``golden.fleet_capacity``).
 CAPACITY_PLAN_REPLICAS = {"tdx": 3, "cgpu": 1}
 
-#: Canonical column order of :func:`attest_tax_row`.
+#: Column order of :func:`attest_tax_row` (registered with the sweep
+#: runner, which restores it on rows read back from a journal).
 TAX_ROW_FIELDS = ("kind", "scenario", "boot_s", "reattest_s",
                   "legacy_usd_per_mtok", "phased_usd_per_mtok",
                   "tax_usd_per_mtok", "legacy_p99_ttft_s",
@@ -392,15 +393,3 @@ def _served_model(kind: str):
     from ..llm.datatypes import BFLOAT16
     del kind  # every headline fleet serves the same model today
     return LLAMA2_7B, BFLOAT16
-
-
-def attest_tax_sweep(kinds: tuple[str, ...] = TAX_FLEET_KINDS,
-                     scenarios: tuple[str, ...] = ("capacity", "chaos"),
-                     slo_ttft_s: float = 2.0) -> list[dict]:
-    """The attestation-tax table: every (kind, scenario) cell.
-
-    Deterministic and seeded end to end; the ``golden.attest_tax``
-    audit check snapshots this series.
-    """
-    return [attest_tax_row(kind, scenario, slo_ttft_s)
-            for scenario in scenarios for kind in kinds]

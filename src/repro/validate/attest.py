@@ -51,7 +51,6 @@ from ..tee.boot import (
     DEFAULT_PROFILES,
     PHASE_LIVE,
     PROVISIONING,
-    attest_tax_sweep,
     boot_breakdown,
     boot_profile,
     constant_profile,
@@ -387,8 +386,11 @@ def boot_scaling_metamorphic(ctx: AuditContext) -> str:
          "($/Mtok and p99 TTFT vs legacy, capacity + chaos headlines)",
          layers=("tee", "fleet"))
 def attest_tax_series(ctx: AuditContext) -> dict[str, float]:
+    from ..state.points import attest_grid
+    from ..state.runner import SweepRunner
+
     series: dict[str, float] = {}
-    for row in attest_tax_sweep():
+    for row in SweepRunner(None, attest_grid()).run().values():
         prefix = f"{row['kind']}_{row['scenario']}"
         for field, value in row.items():
             if field in ("kind", "scenario"):

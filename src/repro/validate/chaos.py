@@ -32,7 +32,6 @@ from ..faults import (
     mtbf_schedule,
     one_shot,
 )
-from ..faults.sweep import mtbf_sweep
 from ..fleet import (
     AutoscalerConfig,
     FleetSimulator,
@@ -245,7 +244,10 @@ def chaos_backoff_discipline(ctx: AuditContext) -> str:
          "Chaos MTBF sweep: SLO attainment and $/Mtok vs failure rate",
          layers=("faults", "fleet", "cost"))
 def chaos_mtbf(ctx: AuditContext) -> dict[str, float]:
-    rows = mtbf_sweep()
+    from ..state.points import chaos_grid
+    from ..state.runner import SweepRunner
+
+    rows = SweepRunner(None, chaos_grid()).run().values()
     series: dict[str, float] = {}
     for row in rows:
         label = ("inf" if row["mtbf_s"] is None

@@ -22,9 +22,9 @@ capacity-planning numbers.
 * ``fleet.*`` metamorphic checks encode cluster-level physics: adding
   a replica never raises p99 TTFT under fixed load, requests are
   conserved through routing/autoscaling, fleet runs are deterministic.
-* ``golden.fleet_capacity`` snapshots the capacity-planning sweep —
-  replicas needed and $/Mtok at the p99 TTFT SLO for TDX and cGPU
-  fleets on a fixed trace.
+* ``golden.fleet_capacity`` snapshots the capacity-planning sweep (the
+  capacity grid run in memory) — replicas needed and $/Mtok at the p99
+  TTFT SLO for TDX and cGPU fleets on a fixed trace.
 """
 
 from __future__ import annotations
@@ -33,11 +33,10 @@ import random
 from dataclasses import replace
 
 from ..fleet import (
-    capacity_sweep,
+    CapacityPlan,
     fixed_fleet,
     poisson_table,
     replica_spec,
-    trace_replay,
 )
 from ..llm.kvcache import PagedKVCache
 from ..serving.admission import TenancyConfig
@@ -462,13 +461,15 @@ CAPACITY_SLO_TTFT_S = 2.0
 @_golden("fleet_capacity", "Fleet capacity plan: replicas and $/Mtok at SLO",
          layers=("fleet", "serving", "cost"))
 def fleet_capacity(ctx: AuditContext) -> dict[str, float]:
-    requests = trace_replay(CAPACITY_TRACE)
-    specs = [replica_spec("tdx", max_batch=16, kv_capacity_tokens=65536),
-             replica_spec("cgpu", max_batch=16, kv_capacity_tokens=65536)]
-    plans = capacity_sweep(specs, requests, slo_ttft_s=CAPACITY_SLO_TTFT_S,
-                           max_replicas=6)
+    from ..state.points import capacity_grid
+    from ..state.runner import SweepRunner
+
+    spec = capacity_grid(kinds=("tdx", "cgpu"), max_replicas=6,
+                         slo_ttft_s=CAPACITY_SLO_TTFT_S)
+    rows = SweepRunner(None, spec).run().values()
     series: dict[str, float] = {}
-    for kind, plan in plans.items():
+    for kind in ("tdx", "cgpu"):
+        plan = CapacityPlan.from_rows(kind, rows, CAPACITY_SLO_TTFT_S)
         if plan.replicas_needed is None:
             raise CheckFailure(
                 f"{kind}: SLO unattainable within the swept fleet sizes")

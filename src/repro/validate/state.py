@@ -18,8 +18,9 @@ from never having stopped.  These checks pin that end to end:
   JSON path.
 * ``state.wal_resume`` — an interrupted journaled sweep, reopened and
   finished, merges into a journal byte-identical to an uninterrupted
-  run's, matching the monolithic sweep rows; a torn final line is
-  tolerated, mid-file corruption is not.
+  run's; journaled and resumed rows equal an unjournaled run of the
+  same spec, column order included; a torn final line is tolerated,
+  mid-file corruption is not.
 * ``state.quarantine_isolation`` — a pathological grid point is
   retried with the seeded deterministic backoff, quarantined after
   ``max_attempts``, and *degrades* the sweep instead of killing it;
@@ -224,26 +225,30 @@ def state_schema_negotiation(ctx: AuditContext) -> str:
        layers=("state", "faults", "fleet"))
 def state_wal_resume(ctx: AuditContext) -> str:
     """An interrupted journaled sweep resumes into a journal
-    byte-identical to an uninterrupted run's and matches the
-    monolithic sweep rows."""
-    from ..faults.sweep import mtbf_sweep
+    byte-identical to an uninterrupted run's, and its rows match an
+    unjournaled run of the same spec."""
     from ..state.points import chaos_grid
     from ..state.runner import SweepRunner, read_journal
 
     grid = chaos_grid(kinds=("tdx",), mtbf_grid_s=(None, 6.0),
                       num_requests=8)
-    expect = mtbf_sweep(kinds=("tdx",), mtbf_grid_s=(None, 6.0),
-                        num_requests=8)
+
+    def columns(rows: dict[int, dict]) -> list[list]:
+        """Rows as ordered (column, value) pairs: order counts too."""
+        return [list(row.items()) for row in rows.values()]
+
+    expect = columns(SweepRunner(None, grid).run())
     with tempfile.TemporaryDirectory() as tmp:
         straight = SweepRunner.create(Path(tmp) / "straight", grid)
-        rows = straight.run()
-        if [rows[i] for i in sorted(rows)] != expect:
-            raise CheckFailure("journaled sweep rows diverge from "
-                               "mtbf_sweep()")
+        if columns(straight.run()) != expect:
+            raise CheckFailure("journaled sweep rows diverge from an "
+                               "unjournaled run")
         interrupted = SweepRunner.create(Path(tmp) / "resumed", grid)
         interrupted.run(max_points=1)
         resumed = SweepRunner.open(Path(tmp) / "resumed")
-        resumed.run()
+        if columns(resumed.run()) != expect:
+            raise CheckFailure("resumed sweep rows (or their column "
+                               "order) diverge from an unjournaled run")
         straight_bytes = straight.results_path.read_bytes()
         resumed_bytes = resumed.results_path.read_bytes()
         if straight_bytes != resumed_bytes:

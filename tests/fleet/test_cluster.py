@@ -4,16 +4,15 @@ import pytest
 
 from repro.fleet import (
     AutoscalerConfig,
+    CapacityPlan,
     CostSloRouter,
     FleetSimulator,
     ReactiveAutoscaler,
-    capacity_plan,
-    capacity_sweep,
     fixed_fleet,
     poisson_table,
     replica_spec,
-    trace_replay,
 )
+from repro.state import SweepRunner, capacity_grid
 
 TDX = replica_spec("tdx", max_batch=16, kv_capacity_tokens=65536)
 CGPU = replica_spec("cgpu", max_batch=16, kv_capacity_tokens=65536)
@@ -148,13 +147,19 @@ class TestHeterogeneousRouting:
         assert len(report.outcomes) == len(heavy)
 
 
-TRACE = trace_replay([(0.25 * i, 192 + (37 * i) % 160,
-                       48 + (13 * i) % 48) for i in range(60)])
+def _plans(slo_ttft_s: float, max_replicas: int,
+           kinds: tuple[str, ...] = ("tdx", "cgpu")) -> dict:
+    """Capacity plans over the committed capacity trace, run in memory."""
+    spec = capacity_grid(kinds=kinds, max_replicas=max_replicas,
+                         slo_ttft_s=slo_ttft_s)
+    rows = SweepRunner(None, spec).run().values()
+    return {kind: CapacityPlan.from_rows(kind, rows, slo_ttft_s)
+            for kind in kinds}
 
 
 @pytest.fixture(scope="module")
 def capacity_plans():
-    return capacity_sweep([TDX, CGPU], TRACE, slo_ttft_s=2.0, max_replicas=6)
+    return _plans(slo_ttft_s=2.0, max_replicas=6)
 
 
 class TestCapacityPlanning:
@@ -166,8 +171,7 @@ class TestCapacityPlanning:
         assert plan.usd_per_mtok_at_slo > 0
 
     def test_infeasible_slo_returns_none(self):
-        short = list(TRACE)[:16]
-        plan = capacity_plan(TDX, short, slo_ttft_s=1e-6, max_replicas=2)
+        plan = _plans(slo_ttft_s=1e-6, max_replicas=2, kinds=("tdx",))["tdx"]
         assert plan.replicas_needed is None
         assert plan.usd_per_mtok_at_slo is None
         assert len(plan.points) == 2
@@ -180,9 +184,9 @@ class TestCapacityPlanning:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            capacity_plan(TDX, TRACE, slo_ttft_s=0.0)
+            capacity_grid(slo_ttft_s=0.0)
         with pytest.raises(ValueError):
-            capacity_plan(TDX, TRACE, slo_ttft_s=1.0, max_replicas=0)
+            capacity_grid(slo_ttft_s=1.0, max_replicas=0)
         with pytest.raises(ValueError):
             fixed_fleet(TDX, 0)
         with pytest.raises(ValueError):

@@ -8,7 +8,7 @@ from repro.faults import FaultEvent, FaultSchedule, RetryPolicy
 from repro.fleet import fixed_fleet, poisson_table, replica_spec
 from repro.state import attest_grid
 from repro.state.runner import SweepRunner, read_journal
-from repro.tee.boot import BOOT_PHASES, attest_tax_sweep, boot_profile
+from repro.tee.boot import BOOT_PHASES, TAX_ROW_FIELDS, boot_profile
 
 SPEC = replica_spec("tdx", max_batch=8, kv_capacity_tokens=16384,
                     boot=boot_profile("tdx"))
@@ -88,12 +88,16 @@ class TestMidBootResume:
         assert fresh.replicas[0].boot_phase(now) == phase
 
 
+def _unjournaled(spec) -> list[dict]:
+    return list(SweepRunner(None, spec).run().values())
+
+
 class TestAttestGrid:
     def test_grid_rows_match_direct_sweep(self, tmp_path):
         spec = attest_grid(kinds=("tdx",))
         runner = SweepRunner.create(tmp_path / "run", spec)
         rows = runner.run()
-        direct = attest_tax_sweep(kinds=("tdx",))
+        direct = _unjournaled(spec)
         assert [rows[i] for i in sorted(rows)] == direct
 
     def test_grid_resumes_after_partial_run(self, tmp_path):
@@ -104,5 +108,8 @@ class TestAttestGrid:
         # A reopened runner executes only the missing point.
         resumed = SweepRunner.open(tmp_path / "run").run()
         assert len(resumed) == len(spec.points)
-        direct = attest_tax_sweep(kinds=("tdx",))
+        direct = _unjournaled(spec)
         assert [resumed[i] for i in sorted(resumed)] == direct
+        # Rows read back from the journal keep the table's column order.
+        for row in resumed.values():
+            assert tuple(row) == TAX_ROW_FIELDS

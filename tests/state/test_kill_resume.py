@@ -20,8 +20,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.faults.sweep import iter_mtbf_rows
-from repro.state.points import point_runner
+from repro.state.points import chaos_grid, point_runner
 from repro.state.runner import GridPoint, RESULTS_FILE, SweepRunner, SweepSpec
 
 REPO = Path(__file__).resolve().parents[2]
@@ -113,7 +112,8 @@ def test_sigkilled_chaos_sweep_resumes_to_golden(tmp_path):
     assert resume.returncode == 0, resume.stderr
     merged = json.loads(merged_path.read_text())
 
-    expected = json.loads(json.dumps(list(iter_mtbf_rows())))
+    unjournaled = SweepRunner(None, chaos_grid()).run().values()
+    expected = json.loads(json.dumps(list(unjournaled)))
     assert merged == expected, "resumed rows diverged from a clean sweep"
 
     golden = json.loads(

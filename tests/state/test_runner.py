@@ -192,6 +192,28 @@ class TestRunner:
         SweepRunner.open(tmp_path / "run").run(sleep=lambda s: None)
         assert _CALLS == []
 
+    def test_in_memory_run_touches_no_disk(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        rows = SweepRunner(None, _grid("a", "b")).run()
+        assert list(rows) == [0, 1]
+        assert [row["tag"] for row in rows.values()] == ["a", "b"]
+        assert list(tmp_path.iterdir()) == []
+
+    def test_in_memory_failure_raises_not_quarantines(self):
+        spec = SweepSpec(points=(
+            GridPoint(0, "flaky", "test_fail_times",
+                      {"tag": "flaky", "fails": 1}),), max_attempts=3)
+        sleeps = []
+        with pytest.raises(RuntimeError, match="transient"):
+            SweepRunner(None, spec).run(sleep=sleeps.append)
+        assert sleeps == []
+
+    @pytest.mark.parametrize("knob", [{"checkpoint_every_s": 1.0},
+                                      {"point_timeout_s": 5.0}])
+    def test_in_memory_refuses_run_dir_knobs(self, knob):
+        with pytest.raises(StateValueError, match="run directory"):
+            SweepRunner(None, _grid("a", **knob))
+
     def test_unknown_runner_name_fails_with_roster(self, tmp_path):
         spec = SweepSpec(points=(GridPoint(0, "a", "no_such_runner"),),
                          max_attempts=1)
