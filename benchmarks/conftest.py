@@ -4,7 +4,7 @@ import pytest
 
 from helpers import simulate_cached
 
-from repro.core.profiling import cache_report
+from repro.memo import cache_report
 
 
 @pytest.fixture(scope="session")

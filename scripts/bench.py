@@ -1,8 +1,9 @@
 """Simulator performance benchmark: hot paths, caches, suite wall-clock.
 
-Times the simulator's hot paths (cold vs. warm, vectorized vs. reference
-loop, a representative sweep), collects the memo-cache counters from
-``repro.core.profiling``, and optionally times the tier-1 test suite
+Times the simulator's hot paths (cold vs. warm, the vectorized decode
+engine vs. the frozen per-token loop oracle in ``repro.validate.oracle``,
+a representative sweep), collects the memo-cache counters from
+``repro.memo``, and optionally times the tier-1 test suite
 against a wall-clock budget.  Results are written as JSON so the numbers
 can be committed (``BENCH_sim.json``) and compared across PRs.
 
@@ -35,12 +36,13 @@ import time
 from pathlib import Path
 
 from repro.core.experiment import cpu_deployment, gpu_deployment
-from repro.core.profiling import cache_stats, reset_caches
 from repro.core.sweep import sweep_workload
 from repro.engine.placement import Workload
 from repro.engine.simulator import simulate_generation
 from repro.llm.config import LLAMA2_7B
 from repro.llm.datatypes import BFLOAT16
+from repro.memo import all_cache_stats, clear_all_caches
+from repro.validate.oracle import reference_decode_clean
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -72,7 +74,7 @@ def micro_benchmarks() -> dict:
     results = {}
 
     # Cold: every graph, engine and step cost built from scratch.
-    reset_caches()
+    clear_all_caches()
     start = time.perf_counter()
     simulate_generation(WORKLOAD, tdx)
     results["simulate_7b_cold"] = {"best_s": time.perf_counter() - start,
@@ -82,13 +84,12 @@ def micro_benchmarks() -> dict:
     results["simulate_7b_warm"] = _time(
         lambda: simulate_generation(WORKLOAD, tdx))
 
-    # Engine comparison at exact stride-1 resolution (parity-tested).
+    # The vectorized engine vs. the per-token loop oracle at exact
+    # stride-1 resolution (parity-tested).
     results["decode_vectorized_stride1"] = _time(
-        lambda: simulate_generation(WORKLOAD, tdx, context_stride=1,
-                                    engine="vectorized"))
+        lambda: simulate_generation(WORKLOAD, tdx, context_stride=1))
     results["decode_loop_stride1"] = _time(
-        lambda: simulate_generation(WORKLOAD, tdx, context_stride=1,
-                                    engine="loop"), repeats=3)
+        lambda: reference_decode_clean(WORKLOAD, tdx), repeats=3)
 
     # A representative sweep (warm caches; what figures actually run).
     results["sweep_batch_4pts"] = _time(
@@ -238,7 +239,7 @@ def main(argv: list[str] | None = None) -> int:
         "caches": {name: {"hits": s.hits, "misses": s.misses,
                           "hit_rate": round(s.hit_rate, 4),
                           "size": s.size, "evictions": s.evictions}
-                   for name, s in sorted(cache_stats().items())},
+                   for name, s in sorted(all_cache_stats().items())},
     }
     micro = report["micro"]
     speedup = (micro["decode_loop_stride1"]["best_s"]

@@ -42,7 +42,6 @@ from .pipeline import (
     ProvisioningReport,
     stream_cipher,
 )
-from .profiling import CacheStats, cache_report, cache_stats, reset_caches
 from .summary import (
     ALL_SUMMARIES,
     CGPU_SUMMARY,
@@ -74,7 +73,6 @@ __all__ = [
     "practical_mechanisms",
     "ConfidentialPipeline", "PipelineResponse", "ProvisioningReport",
     "stream_cipher",
-    "CacheStats", "cache_report", "cache_stats", "reset_caches",
     "ALL_SUMMARIES", "CGPU_SUMMARY", "SGX_SUMMARY", "TDX_SUMMARY",
     "SystemSummary", "Trend", "render_summary_table",
     "is_monotonic", "metric_series", "overhead_series",

@@ -105,8 +105,6 @@ class Experiment:
         baseline_label: Which label the overheads are computed against.
         seed: Noise seed (per-label offset added for independence).
         context_stride: Decode-cost recomputation stride.
-        engine: Decode-cost engine (``"auto"``, ``"vectorized"`` or
-            ``"loop"``; see :func:`repro.engine.simulator.simulate_generation`).
     """
 
     name: str
@@ -115,7 +113,6 @@ class Experiment:
     baseline_label: str = "baremetal"
     seed: int = 0
     context_stride: int | None = None
-    engine: str = "auto"
 
     def run(self) -> ExperimentResult:
         """Simulate every deployment.
@@ -131,7 +128,7 @@ class Experiment:
         for offset, (label, deployment) in enumerate(self.deployments.items()):
             results[label] = simulate_generation(
                 self.workload, deployment, seed=self.seed + offset,
-                context_stride=self.context_stride, engine=self.engine)
+                context_stride=self.context_stride)
         return ExperimentResult(
             name=self.name, workload=self.workload, results=results,
             baseline_label=self.baseline_label)

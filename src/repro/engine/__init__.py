@@ -18,7 +18,6 @@ from .roofline import (
     gpu_io_bytes,
 )
 from .simulator import (
-    ENGINES,
     GenerationResult,
     decode_step_cost,
     prefill_step_cost,
@@ -40,7 +39,7 @@ __all__ = [
     "weight_footprint",
     "CpuCostModel", "GpuCostModel", "OpCost", "StepCost", "WorkingSets",
     "WorkingSetsVec", "cost_model_for", "gpu_io_bytes",
-    "ENGINES", "GenerationResult", "decode_step_cost", "prefill_step_cost",
+    "GenerationResult", "decode_step_cost", "prefill_step_cost",
     "simulate_encode", "simulate_generation",
     "DecodeCostEngine", "decode_cost_engine",
     "LayerStat", "TraceEvent", "block_layer_summary", "decoder_block_share",

@@ -9,7 +9,7 @@ Together with a TEE backend and a framework they form a
 
 from __future__ import annotations
 
-import math
+import numbers
 from dataclasses import dataclass, field, replace
 
 from ..hardware.cpu import CpuSpec
@@ -44,13 +44,17 @@ class Workload:
 
     def __post_init__(self) -> None:
         # Checked per-dimension: NaN slips through a min()-based guard
-        # because any comparison against NaN is False.
+        # because any comparison against NaN is False.  Sizes count
+        # sequences and tokens, so a float (even a whole one) or a bool
+        # is rejected; numpy integers are integral and pass.
         for field_name in ("batch_size", "input_tokens", "output_tokens",
                            "beam_size"):
             value = getattr(self, field_name)
-            if not math.isfinite(value) or value < 1:
+            if (isinstance(value, bool)
+                    or not isinstance(value, numbers.Integral) or value < 1):
                 raise ValueError(
-                    f"workload {field_name} must be finite and >= 1")
+                    f"workload {field_name} must be a finite integer >= 1, "
+                    f"got {value!r}")
         if not self.model.encoder_only:
             total = self.input_tokens + self.output_tokens
             if total > self.model.max_position:

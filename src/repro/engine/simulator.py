@@ -7,26 +7,23 @@ with a Z-score (§III-D).  Decode-step costs are recomputed every
 ``context_stride`` tokens (costs vary smoothly with context length) to
 keep sweeps fast; ``context_stride=1`` gives the exact per-step model.
 
-Two execution engines produce the clean decode trajectory:
-
-* ``"vectorized"`` (the default via ``"auto"``) — the
-  :mod:`repro.engine.vectorized` decode-cost engine computes every
-  costed step in one numpy pass and memoizes the per-shape cost curve;
-* ``"loop"`` — the original per-token reference loop, kept as the
-  ground truth the vectorized path is tested against.
-
-Both engines draw identical noise for a given seed, and memoized step
-costs are bit-identical to uncached ones (the caches store the computed
-values, they do not approximate them).
+The clean decode trajectory comes from the :mod:`repro.engine.vectorized`
+decode-cost engine, which costs every costed step in one numpy pass and
+memoizes the per-shape cost curve.  The per-token loop it replaced is
+kept as a frozen oracle, :func:`repro.validate.oracle.reference_decode_clean`,
+that the differential audit and the engine tests compare against.
+Memoized step costs are bit-identical to uncached ones (the caches store
+the computed values, they do not approximate them).
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from ..llm.graph import cached_decode_step_ops, cached_prefill_ops
+from ..llm.graph import cached_prefill_ops, decode_step_ops
 from ..llm.ops import Operator, Phase, merge_totals
 from ..memo import MemoCache
 from . import calibration as cal
@@ -42,11 +39,7 @@ from .roofline import (
 from .trace import TraceEvent, events_from_step
 from .vectorized import decode_cost_engine
 
-#: Valid values of ``simulate_generation``'s ``engine`` argument.
-ENGINES = ("auto", "vectorized", "loop")
-
 _PREFILL_COST_CACHE = MemoCache("prefill_step_cost", maxsize=256)
-_DECODE_COST_CACHE = MemoCache("decode_step_cost", maxsize=2048)
 
 
 @dataclass(frozen=True)
@@ -163,32 +156,38 @@ def prefill_step_cost(workload: Workload, deployment: Deployment,
 def decode_step_cost(workload: Workload, deployment: Deployment,
                      context: int,
                      model: CpuCostModel | GpuCostModel | None = None) -> StepCost:
-    """Costed decode step at one context, memoized per shape + context."""
-    key = (deployment, workload.model, workload.dtype, workload.batch_size,
-           workload.beam_size, context)
-
-    def build() -> StepCost:
-        cost_model = model or cost_model_for(deployment)
-        ops = list(cached_decode_step_ops(
-            workload.model, workload.dtype, workload.batch_size, context,
-            workload.beam_size))
-        sets = _working_sets(workload, deployment, context, ops)
-        if isinstance(deployment.placement, CpuPlacement):
-            return cost_model.step_cost(ops, sets, workload.dtype)
-        return cost_model.step_cost(
-            ops, sets, workload.dtype,
-            io_bytes=gpu_io_bytes(workload, Phase.DECODE))
-
-    return _DECODE_COST_CACHE.get_or_compute(key, build)
+    """Costed decode step at one context, operator by operator."""
+    cost_model = model or cost_model_for(deployment)
+    ops = decode_step_ops(workload.model, workload.dtype, workload.batch_size,
+                          context, workload.beam_size)
+    sets = _working_sets(workload, deployment, context, ops)
+    if isinstance(deployment.placement, CpuPlacement):
+        return cost_model.step_cost(ops, sets, workload.dtype)
+    return cost_model.step_cost(
+        ops, sets, workload.dtype,
+        io_bytes=gpu_io_bytes(workload, Phase.DECODE))
 
 
-def _decode_clean_vectorized(workload: Workload, deployment: Deployment,
-                             stride: int) -> np.ndarray:
+def _check_context_stride(context_stride: object) -> None:
+    """Reject a decode-cost stride that is not an integer >= 1.
+
+    Raises:
+        ValueError: For a ``bool``, a non-integral number or a value
+            below 1.
+    """
+    if (isinstance(context_stride, bool)
+            or not isinstance(context_stride, numbers.Integral)
+            or context_stride < 1):
+        raise ValueError(
+            f"context_stride must be an integer >= 1, got {context_stride!r}")
+
+
+def _decode_clean(workload: Workload, deployment: Deployment,
+                  stride: int) -> np.ndarray:
     """Clean per-token decode times via the vectorized cost engine.
 
-    Reproduces the stride cadence of the reference loop exactly: costs
-    are evaluated at contexts ``input + k*stride`` and held for the
-    following ``stride`` tokens.
+    Costs are evaluated at contexts ``input + k*stride`` and held for
+    the following ``stride`` tokens.
     """
     engine = decode_cost_engine(workload, deployment)
     costed_contexts = workload.input_tokens + np.arange(
@@ -197,25 +196,9 @@ def _decode_clean_vectorized(workload: Workload, deployment: Deployment,
     return np.repeat(step_costs, stride)[:workload.output_tokens]
 
 
-def _decode_clean_loop(workload: Workload, deployment: Deployment,
-                       model: CpuCostModel | GpuCostModel,
-                       stride: int) -> np.ndarray:
-    """Clean per-token decode times via the scalar reference loop."""
-    clean = np.empty(workload.output_tokens)
-    cached_step: StepCost | None = None
-    for step_index in range(workload.output_tokens):
-        if step_index % stride == 0 or cached_step is None:
-            context = workload.input_tokens + step_index
-            cached_step = decode_step_cost(workload, deployment, context,
-                                           model)
-        clean[step_index] = cached_step.total_s
-    return clean
-
-
 def simulate_generation(workload: Workload, deployment: Deployment,
                         seed: int = 0, context_stride: int | None = None,
-                        record_steps: bool = False,
-                        engine: str = "auto") -> GenerationResult:
+                        record_steps: bool = False) -> GenerationResult:
     """Simulate one generation run.
 
     Args:
@@ -229,30 +212,20 @@ def simulate_generation(workload: Workload, deployment: Deployment,
             exactly at its own context without disturbing the
             stride-cadence clean trajectory, so toggling this flag never
             changes the simulated times.
-        engine: ``"vectorized"`` (numpy pass over the context vector),
-            ``"loop"`` (scalar reference loop), or ``"auto"`` (currently
-            the vectorized engine).
 
     Raises:
-        ValueError: If the workload cannot run on the deployment (dtype
-            unsupported, model does not fit, ...), or for an unknown
-            engine.
+        ValueError: If ``context_stride`` is not ``None`` or an integer
+            >= 1, or if the workload cannot run on the deployment (dtype
+            unsupported, model does not fit, ...).
     """
-    if engine not in ENGINES:
-        raise ValueError(f"engine must be one of {ENGINES}, got {engine!r}")
+    if context_stride is not None:
+        _check_context_stride(context_stride)
     deployment.validate_workload(workload)
     model = cost_model_for(deployment)
 
     prefill = prefill_step_cost(workload, deployment, model)
-
-    if context_stride is not None and context_stride < 1:
-        raise ValueError("context_stride must be >= 1")
     stride = context_stride or max(1, workload.output_tokens // 32)
-
-    if engine == "loop":
-        clean = _decode_clean_loop(workload, deployment, model, stride)
-    else:
-        clean = _decode_clean_vectorized(workload, deployment, stride)
+    clean = _decode_clean(workload, deployment, stride)
 
     sample_step: StepCost | None = None
     if record_steps:

@@ -10,9 +10,10 @@ scalar roofline per costed token.
 
 Engines are memoized per ``(deployment, model, dtype, batch, beams)`` —
 independent of prompt and output lengths — so input-length sweeps and
-repeated experiments share one instance.  The scalar per-token loop in
-:mod:`repro.engine.simulator` remains the reference implementation;
-parity between the two paths is enforced by the engine test suite.
+repeated experiments share one instance.  The scalar per-token loop,
+:func:`repro.validate.oracle.reference_decode_clean`, remains the
+reference implementation; parity between the two paths is enforced by
+the ``engine.vectorized_loop_parity`` audit and the engine test suite.
 """
 
 from __future__ import annotations

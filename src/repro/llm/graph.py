@@ -42,30 +42,6 @@ def _norm_op(name: str, phase: Phase, layer: int | None, tokens: float,
     )
 
 
-def _decode_attention_op(model: ModelConfig, dtype: DType, layer: int,
-                         context_len: float, sequences: float) -> Operator:
-    """The one decode-phase operator whose cost depends on context.
-
-    One new token per sequence attends to the full cached context.
-    Kept as a standalone builder so :func:`cached_decode_step_ops` can
-    materialize per-context graphs from a context-independent skeleton
-    with the exact formulas below — the rebuilt operators are
-    bit-identical to a direct :func:`decode_step_ops` call.
-    """
-    h, kv, ds = model.hidden_size, model.kv_dim, dtype.bytes
-    attn_flops = 4.0 * sequences * h * context_len
-    kv_read = 2.0 * sequences * context_len * kv * ds
-    softmax_tokens = sequences * context_len
-    return Operator(
-        name="self_attention", category=OpCategory.ATTENTION,
-        phase=Phase.DECODE, layer=layer,
-        flops=attn_flops + 5.0 * model.num_heads * softmax_tokens,
-        activation_bytes=2.0 * sequences * h * ds,
-        kv_read_bytes=kv_read,
-        kv_write_bytes=2.0 * sequences * kv * ds,
-    )
-
-
 def _block_ops(model: ModelConfig, dtype: DType, phase: Phase, layer: int,
                new_tokens: float, context_len: float,
                sequences: float) -> list[Operator]:
@@ -105,17 +81,19 @@ def _block_ops(model: ModelConfig, dtype: DType, phase: Phase, layer: int,
         attn_flops = 2.0 * sequences * h * seq_len * seq_len
         kv_read = 0.0
         softmax_tokens = sequences * seq_len * seq_len / 2.0
-        ops.append(Operator(
-            name="self_attention", category=OpCategory.ATTENTION, phase=phase,
-            layer=layer,
-            flops=attn_flops + 5.0 * model.num_heads * softmax_tokens,
-            activation_bytes=2.0 * new_tokens * h * ds,
-            kv_read_bytes=kv_read,
-            kv_write_bytes=2.0 * new_tokens * kv * ds,
-        ))
     else:
-        ops.append(_decode_attention_op(model, dtype, layer, context_len,
-                                        sequences))
+        # One new token per sequence attends to the full cached context.
+        attn_flops = 4.0 * sequences * h * context_len
+        kv_read = 2.0 * sequences * context_len * kv * ds
+        softmax_tokens = sequences * context_len
+    ops.append(Operator(
+        name="self_attention", category=OpCategory.ATTENTION, phase=phase,
+        layer=layer,
+        flops=attn_flops + 5.0 * model.num_heads * softmax_tokens,
+        activation_bytes=2.0 * new_tokens * h * ds,
+        kv_read_bytes=kv_read,
+        kv_write_bytes=2.0 * new_tokens * kv * ds,
+    ))
 
     ops.append(Operator(
         name="o_proj", category=OpCategory.GEMM, phase=phase, layer=layer,
@@ -251,13 +229,13 @@ def encode_ops(model: ModelConfig, dtype: DType, batch_size: int,
 
 # -- memoized builders -------------------------------------------------------
 #
-# A sweep recosts the same (model, dtype, batch, length, beams) graph for
-# every deployment and every repetition; building one graph allocates
-# ~num_layers x 11 Operator records.  The cached builders return shared,
-# immutable tuples — callers must not mutate them.
+# A sweep recosts the same (model, dtype, batch, length, beams) prefill
+# graph for every deployment and every repetition; building one graph
+# allocates ~num_layers x 11 Operator records.  The cached builder returns
+# shared, immutable tuples — callers must not mutate them.  Decode graphs
+# are costed through the affine model below, built once per shape.
 
 _GRAPH_CACHE = MemoCache("op_graph", maxsize=512)
-_CONTEXT_CACHE = MemoCache("op_graph_ctx", maxsize=512)
 _AFFINE_CACHE = MemoCache("affine_decode_graph", maxsize=256)
 
 #: Contexts used to extract and validate the affine decode model.
@@ -267,52 +245,10 @@ _AFFINE_LO, _AFFINE_HI, _AFFINE_CHECK = 1, 2, 7
 def cached_prefill_ops(model: ModelConfig, dtype: DType, batch_size: int,
                        input_len: int, beam_size: int = 1) -> tuple[Operator, ...]:
     """Memoized :func:`prefill_ops`; the returned tuple is shared."""
-    key = ("prefill", model, dtype, batch_size, input_len, beam_size)
+    key = (model, dtype, batch_size, input_len, beam_size)
     return _GRAPH_CACHE.get_or_compute(
         key, lambda: tuple(prefill_ops(model, dtype, batch_size, input_len,
                                        beam_size)))
-
-
-#: Reference context the decode skeleton is built at.  Any positive
-#: value works — every operator except ``self_attention`` is identical
-#: across contexts, and the attention ops are rebuilt per call.
-_SKELETON_CONTEXT = 1
-
-
-def cached_decode_step_ops(model: ModelConfig, dtype: DType, batch_size: int,
-                           context_len: int, beam_size: int = 1) -> tuple[Operator, ...]:
-    """Memoized :func:`decode_step_ops`, bit-identical to the direct call.
-
-    In a decode graph only the per-layer ``self_attention`` operator
-    depends on ``context_len``; keying the memo on the context made
-    structurally identical graphs miss (a stride-1 context sweep paid
-    one full ~``num_layers x 11``-operator build *per context*).  The
-    cache therefore stores one context-independent *skeleton* per
-    ``(model, dtype, batch, beams)`` and this function materializes the
-    requested context by rebuilding just the attention operators with
-    the original formulas (:func:`_decode_attention_op`).  Materialized
-    per-context tuples sit in a second LRU so repeated identical calls
-    still return the same shared object.
-    """
-    _check_shape(batch_size, context_len, beam_size)
-
-    def materialize() -> tuple[Operator, ...]:
-        key = ("decode", model, dtype, batch_size, beam_size)
-        skeleton = _GRAPH_CACHE.get_or_compute(
-            key, lambda: tuple(decode_step_ops(model, dtype, batch_size,
-                                               _SKELETON_CONTEXT, beam_size)))
-        if context_len == _SKELETON_CONTEXT:
-            return skeleton
-        sequences = float(batch_size * beam_size)
-        return tuple(
-            _decode_attention_op(model, dtype, op.layer, float(context_len),
-                                 sequences)
-            if op.name == "self_attention" else op
-            for op in skeleton)
-
-    return _CONTEXT_CACHE.get_or_compute(
-        ("decode", model, dtype, batch_size, context_len, beam_size),
-        materialize)
 
 
 def decode_step_affine(model: ModelConfig, dtype: DType, batch_size: int,
@@ -337,10 +273,9 @@ def decode_step_affine(model: ModelConfig, dtype: DType, batch_size: int,
 
 def _build_decode_affine(model: ModelConfig, dtype: DType, batch_size: int,
                          beam_size: int) -> tuple[AffineOp, ...]:
-    lo = cached_decode_step_ops(model, dtype, batch_size, _AFFINE_LO, beam_size)
-    hi = cached_decode_step_ops(model, dtype, batch_size, _AFFINE_HI, beam_size)
-    check = cached_decode_step_ops(model, dtype, batch_size, _AFFINE_CHECK,
-                                   beam_size)
+    lo = decode_step_ops(model, dtype, batch_size, _AFFINE_LO, beam_size)
+    hi = decode_step_ops(model, dtype, batch_size, _AFFINE_HI, beam_size)
+    check = decode_step_ops(model, dtype, batch_size, _AFFINE_CHECK, beam_size)
     groups: dict[tuple, AffineOp] = {}
     order: list[tuple] = []
     for op_lo, op_hi, op_check in zip(lo, hi, check):

@@ -4,8 +4,8 @@ The simulator's hot paths (op-graph construction, step costing, the
 vectorized decode-cost engine) recompute identical values across sweeps,
 figures and tests.  :class:`MemoCache` gives those paths a small, bounded
 LRU memo with hit/miss counters; every cache registers itself in a global
-registry so :mod:`repro.core.profiling` can report and reset the whole
-set at once.
+registry so :func:`all_cache_stats`, :func:`cache_report` and
+:func:`clear_all_caches` can report and reset the whole set at once.
 
 This module is deliberately dependency-free (no imports from elsewhere
 in :mod:`repro`) so any layer — ``llm``, ``engine``, ``core`` — can use
@@ -123,3 +123,15 @@ def clear_all_caches(reset_counters: bool = True) -> None:
     """Clear every registered cache (tests, benchmarks, workers)."""
     for cache in _REGISTRY.values():
         cache.clear(reset_counters=reset_counters)
+
+
+def cache_report() -> str:
+    """Human-readable one-line-per-cache summary."""
+    lines = []
+    for name in sorted(_REGISTRY):
+        stats = _REGISTRY[name].stats()
+        lines.append(
+            f"{name:24s} hits={stats.hits:<8d} misses={stats.misses:<6d} "
+            f"hit_rate={stats.hit_rate:6.1%} size={stats.size}/{stats.maxsize}"
+            f" evictions={stats.evictions}")
+    return "\n".join(lines)

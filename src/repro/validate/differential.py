@@ -1,9 +1,9 @@
 """Differential checks: independent code paths must agree.
 
-Every engine, cache and parallelism feature in the repository has a
-slower, simpler twin: the vectorized decode engine has the scalar
-reference loop, memo caches have cold recomputation, process-pool sweeps
-have serial execution, the analytical FLOP/byte formulas have the numpy
+Every engine and cache in the repository has a slower, simpler twin:
+the vectorized decode engine has the frozen per-token loop
+(:func:`repro.validate.oracle.reference_decode_clean`), memo caches have
+cold recomputation, the analytical FLOP/byte formulas have the numpy
 mini-Llama that actually executes the matmuls, and the closed-form
 TLB/EPC models have functional simulators.  These checks pin each pair
 together so an optimization can never silently drift from its ground
@@ -16,8 +16,7 @@ import numpy as np
 
 from ..engine.simulator import _working_sets, simulate_generation
 from ..engine.vectorized import decode_cost_engine
-from ..core.sweep import sweep_workload
-from ..llm.graph import cached_decode_step_ops, decode_step_ops, prefill_ops
+from ..llm.graph import decode_step_ops, prefill_ops
 from ..llm.reference import FlopRecorder, ReferenceTransformer
 from ..memo import clear_all_caches
 from ..memsim.epc import EpcPager, paging_fraction, paging_fraction_vec
@@ -28,6 +27,7 @@ from ..memsim.tlb import (
     streaming_miss_rate_vec,
 )
 from .context import AuditContext
+from .oracle import reference_decode_clean
 from .registry import CheckFailure, check
 
 
@@ -45,12 +45,9 @@ def vectorized_loop_parity(ctx: AuditContext) -> str:
         deployment = ctx.gpu(confidential=True) if gpu else ctx.cpu(backend)
         for batch in (1, 8):
             workload = ctx.small_workload(batch_size=batch)
-            loop = ctx.simulate(workload, deployment, context_stride=1,
-                                engine="loop")
-            vec = ctx.simulate(workload, deployment, context_stride=1,
-                               engine="vectorized")
-            worst = max(worst, _max_rel_err(vec.decode_clean_s,
-                                            loop.decode_clean_s))
+            loop = reference_decode_clean(workload, deployment)
+            vec = ctx.simulate(workload, deployment, context_stride=1)
+            worst = max(worst, _max_rel_err(vec.decode_clean_s, loop))
     if worst >= ctx.tol.engine_parity_rel:
         raise CheckFailure(
             f"engines diverge: max rel err {worst:.3e} >= "
@@ -107,30 +104,6 @@ def stride_subsampling_exact(ctx: AuditContext) -> str:
             f"stride={stride} trajectory differs from exact at its own "
             f"costed contexts")
     return f"stride={stride} exact at {len(costed)} costed contexts"
-
-
-@check("sweep.parallel_serial_identity", family="differential",
-       layers=("core", "engine"))
-def parallel_serial_identity(ctx: AuditContext) -> str:
-    """Process-pool sweeps merge to bit-identical serial results."""
-    base = ctx.small_workload(input_tokens=32, output_tokens=8)
-    deployments = {"baremetal": ctx.cpu("baremetal"), "tdx": ctx.cpu("tdx")}
-    serial = sweep_workload("audit", base, deployments, "batch_size",
-                            [1, 2, 3], parallel=False)
-    pooled = sweep_workload("audit", base, deployments, "batch_size",
-                            [1, 2, 3], parallel=True, max_workers=2)
-    for value, outcome in serial.items():
-        twin = pooled[value]
-        for label, result in outcome.results.items():
-            other = twin.results[label]
-            if (result.prefill_s != other.prefill_s
-                    or not np.array_equal(result.decode_clean_s,
-                                          other.decode_clean_s)
-                    or not np.array_equal(result.decode_noisy_s,
-                                          other.decode_noisy_s)):
-                raise CheckFailure(
-                    f"parallel sweep differs at value={value} label={label}")
-    return "3-point sweep x 2 deployments bit-identical"
 
 
 @check("llm.prefill_flops_vs_reference", family="differential",
@@ -222,9 +195,9 @@ def vectorized_working_sets(ctx: AuditContext) -> str:
     contexts = np.array([64, 256, 1024])
     vec_sets = engine.working_sets(contexts)
     for position, context in enumerate(contexts):
-        ops = list(cached_decode_step_ops(
-            workload.model, workload.dtype, workload.batch_size, int(context),
-            workload.beam_size))
+        ops = decode_step_ops(workload.model, workload.dtype,
+                              workload.batch_size, int(context),
+                              workload.beam_size)
         scalar = _working_sets(workload, deployment, int(context), ops)
         for name, vec_value in (("kv", vec_sets.kv[position]),
                                 ("activations",

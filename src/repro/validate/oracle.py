@@ -1,4 +1,15 @@
-"""Frozen object-per-request scheduler: the serving reference oracle.
+"""Frozen reference oracles the differential audits compare against.
+
+Two production paths keep a slower, simpler twin here.  Both twins are
+frozen: change the production code, never these.
+
+* :func:`reference_decode_clean` is the per-token decode loop: it costs
+  the full per-layer operator stream at every costed context.  The
+  simulator computes the same trajectory with the vectorized affine
+  engine (:mod:`repro.engine.vectorized`); ``engine.vectorized_loop_parity``
+  and the engine tests hold the two within 1e-9.
+* :class:`ContinuousBatchingScheduler` is the object-per-request serving
+  loop, described below.
 
 :class:`ContinuousBatchingScheduler` is the original vLLM-style
 continuous-batching loop over the functional
@@ -9,8 +20,7 @@ by real block allocation.  Production code serves through
 same state in columns and counts blocks instead of allocating them.
 This class stays as the independent reference the differential audit
 checks compare that core against (``serving.columnar_reference_parity``,
-``serving.legacy_loop_parity``, ``serving.step_run_parity``).  Its
-behavior is frozen: change the production scheduler, never this one.
+``serving.legacy_loop_parity``, ``serving.step_run_parity``).
 
 Admission policy (head-of-line).  By default admission is strict FCFS:
 the admission loop ``break``s on the first queued request whose KV
@@ -36,13 +46,44 @@ import math
 from bisect import insort
 from dataclasses import dataclass
 
-from ..engine.placement import Deployment
+import numpy as np
+
+from ..engine.placement import Deployment, Workload
+from ..engine.roofline import cost_model_for
+from ..engine.simulator import _check_context_stride, decode_step_cost
 from ..llm.config import ModelConfig
 from ..llm.datatypes import DType
 from ..llm.kvcache import PagedKVCache
 from ..serving.admission import TenancyConfig, prefix_seq_id
 from ..serving.scheduler import RequestOutcome, ServeRequest, ServingReport
 from ..serving.stepcost import StepCostTable
+
+
+def reference_decode_clean(workload: Workload, deployment: Deployment,
+                           context_stride: int = 1) -> np.ndarray:
+    """Clean per-token decode times from the scalar per-token loop.
+
+    Costs each context ``input + k*context_stride`` with
+    :func:`~repro.engine.simulator.decode_step_cost` and holds that cost
+    for the following ``context_stride`` tokens, the cadence
+    :func:`~repro.engine.simulator.simulate_generation` reproduces.
+
+    Raises:
+        ValueError: If ``context_stride`` is not an integer >= 1, or if
+            the workload cannot run on the deployment.
+    """
+    _check_context_stride(context_stride)
+    deployment.validate_workload(workload)
+    model = cost_model_for(deployment)
+    clean = np.empty(workload.output_tokens)
+    step_s = 0.0
+    for step_index in range(workload.output_tokens):
+        if step_index % context_stride == 0:
+            context = workload.input_tokens + step_index
+            step_s = decode_step_cost(workload, deployment, context,
+                                      model).total_s
+        clean[step_index] = step_s
+    return clean
 
 
 @dataclass

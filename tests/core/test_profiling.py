@@ -1,9 +1,13 @@
-"""Memo caches and the profiling layer."""
+"""Memo caches and their process-wide registry."""
 
 import pytest
 
-from repro.core import profiling
-from repro.memo import MemoCache, all_cache_stats, registered_caches
+from repro.memo import (
+    MemoCache,
+    all_cache_stats,
+    cache_report,
+    registered_caches,
+)
 
 
 @pytest.fixture
@@ -60,13 +64,13 @@ class TestMemoCache:
 
 class TestProfilingFrontDoor:
     def test_simulator_caches_registered(self):
-        stats = profiling.cache_stats()
+        stats = all_cache_stats()
         for name in ("op_graph", "affine_decode_graph", "decode_cost_engine",
-                     "prefill_step_cost", "decode_step_cost"):
+                     "prefill_step_cost"):
             assert name in stats
 
     def test_cache_report_mentions_every_cache(self):
-        report = profiling.cache_report()
+        report = cache_report()
         assert "decode_cost_engine" in report
         assert "hit_rate" in report
 

@@ -1,5 +1,6 @@
 """Workload/placement/deployment validation."""
 
+import numpy as np
 import pytest
 
 from repro.engine.placement import (
@@ -48,6 +49,22 @@ class TestWorkload:
                         "beam_size"):
                 with pytest.raises(ValueError, match="finite"):
                     Workload(LLAMA2_7B, BFLOAT16, **{dim: bad})
+
+    def test_non_integer_dimensions_rejected(self):
+        # Regression: fractional batches and prompts simulated without
+        # error, True passed as 1, and 8.0 output tokens failed late in
+        # numpy slicing.
+        for bad in (2.5, 8.0, True):
+            for dim in ("batch_size", "input_tokens", "output_tokens",
+                        "beam_size"):
+                with pytest.raises(ValueError, match="integer"):
+                    Workload(LLAMA2_7B, BFLOAT16, **{dim: bad})
+
+    def test_numpy_integer_dimensions_accepted(self):
+        workload = Workload(LLAMA2_7B, BFLOAT16, batch_size=np.int64(2),
+                            input_tokens=np.int32(64),
+                            output_tokens=np.int64(8))
+        assert workload.user_tokens == 16
 
 
 class TestCpuPlacement:

@@ -8,6 +8,7 @@ from repro.engine.placement import Workload
 from repro.engine.simulator import simulate_encode, simulate_generation
 from repro.llm.config import LLAMA2_7B, SBERT_BASE
 from repro.llm.datatypes import BFLOAT16
+from repro.validate.oracle import reference_decode_clean
 
 
 @pytest.fixture(scope="module")
@@ -89,6 +90,33 @@ class TestContextStride:
     def test_invalid_stride(self, workload, deployment):
         with pytest.raises(ValueError):
             simulate_generation(workload, deployment, context_stride=0)
+
+    @pytest.mark.parametrize("bad", [-3, 2.5, 1.0, True, float("nan")])
+    def test_stride_must_be_integer(self, workload, deployment, bad):
+        """Regression: 2.5 costed fractional contexts, True acted as 1
+        and nan died inside numpy."""
+        with pytest.raises(ValueError, match="context_stride"):
+            simulate_generation(workload, deployment, context_stride=bad)
+        with pytest.raises(ValueError, match="context_stride"):
+            reference_decode_clean(workload, deployment, context_stride=bad)
+
+    def test_stride_checked_before_costing(self, workload, deployment,
+                                           monkeypatch):
+        import repro.engine.simulator as simulator
+
+        def no_costing(*args, **kwargs):
+            raise AssertionError("costed before the stride was checked")
+
+        monkeypatch.setattr(simulator, "prefill_step_cost", no_costing)
+        with pytest.raises(ValueError, match="context_stride"):
+            simulate_generation(workload, deployment, context_stride=0)
+
+    def test_numpy_integer_stride_accepted(self, workload, deployment):
+        exact = simulate_generation(workload, deployment, context_stride=4)
+        same = simulate_generation(workload, deployment,
+                                   context_stride=np.int64(4))
+        np.testing.assert_array_equal(exact.decode_clean_s,
+                                      same.decode_clean_s)
 
     def test_costs_grow_with_context(self, deployment):
         long_run = Workload(LLAMA2_7B, BFLOAT16, batch_size=8,

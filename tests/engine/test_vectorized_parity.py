@@ -1,9 +1,10 @@
 """Parity of the vectorized decode-cost engine with the reference loop.
 
-The vectorized path must be numerically interchangeable with the exact
-``context_stride=1`` scalar loop (<1e-9 relative error), caches must be
-invisible (memoized graphs/costs identical to fresh ones), and
-``record_steps`` must never perturb the simulated trajectory.
+The vectorized path must be numerically interchangeable with the frozen
+per-token loop oracle (:func:`repro.validate.oracle.reference_decode_clean`,
+<1e-9 relative error), caches must be invisible (memoized graphs/costs
+identical to fresh ones), and ``record_steps`` must never perturb the
+simulated trajectory.
 """
 
 import numpy as np
@@ -16,13 +17,13 @@ from repro.engine.vectorized import DecodeCostEngine, decode_cost_engine
 from repro.llm.config import LLAMA2_7B, tiny_llama
 from repro.llm.datatypes import BFLOAT16, INT8
 from repro.llm.graph import (
-    cached_decode_step_ops,
     cached_prefill_ops,
     decode_step_affine,
     decode_step_ops,
     prefill_ops,
 )
-from repro.llm.ops import merge_totals
+from repro.llm.ops import AFFINE_FIELDS, merge_totals
+from repro.validate.oracle import reference_decode_clean
 
 TINY = tiny_llama()
 
@@ -46,59 +47,57 @@ class TestEngineParity:
         workload = Workload(model, BFLOAT16, batch_size=2, input_tokens=96,
                             output_tokens=24)
         deployment = DEPLOYMENTS[label]
-        loop = simulate_generation(workload, deployment, context_stride=1,
-                                   engine="loop")
-        vec = simulate_generation(workload, deployment, context_stride=1,
-                                  engine="vectorized")
-        assert _max_rel_err(vec.decode_clean_s, loop.decode_clean_s) < 1e-9
-        assert vec.prefill_s == loop.prefill_s
+        loop = reference_decode_clean(workload, deployment)
+        vec = simulate_generation(workload, deployment, context_stride=1)
+        assert _max_rel_err(vec.decode_clean_s, loop) < 1e-9
 
     def test_int8_fallback_parity(self):
         """The no-AMX int8 fallback inflates traffic; both paths agree."""
         workload = Workload(LLAMA2_7B, INT8, batch_size=1, input_tokens=64,
                             output_tokens=16)
         deployment = cpu_deployment("tdx", sockets_used=1, amx_enabled=False)
-        loop = simulate_generation(workload, deployment, context_stride=1,
-                                   engine="loop")
-        vec = simulate_generation(workload, deployment, context_stride=1,
-                                  engine="vectorized")
-        assert _max_rel_err(vec.decode_clean_s, loop.decode_clean_s) < 1e-9
+        loop = reference_decode_clean(workload, deployment)
+        vec = simulate_generation(workload, deployment, context_stride=1)
+        assert _max_rel_err(vec.decode_clean_s, loop) < 1e-9
 
     def test_strided_cadence_matches_loop(self, tdx_1s):
-        """Both engines hold a cost for exactly ``stride`` tokens."""
+        """Both paths hold a cost for exactly ``stride`` tokens."""
         workload = Workload(TINY, BFLOAT16, batch_size=1, input_tokens=32,
                             output_tokens=30)
-        loop = simulate_generation(workload, tdx_1s, context_stride=7,
-                                   engine="loop")
-        vec = simulate_generation(workload, tdx_1s, context_stride=7,
-                                  engine="vectorized")
-        assert _max_rel_err(vec.decode_clean_s, loop.decode_clean_s) < 1e-9
+        loop = reference_decode_clean(workload, tdx_1s, context_stride=7)
+        vec = simulate_generation(workload, tdx_1s, context_stride=7)
+        assert _max_rel_err(vec.decode_clean_s, loop) < 1e-9
         # the cadence itself: constant within a stride window
         assert len(set(vec.decode_clean_s[:7])) == 1
 
     def test_noise_draws_unchanged_across_engines(self, tdx_1s):
-        """Same seed => same RNG draws, whichever engine produced clean."""
+        """Same seed => same RNG draws, whatever cadence produced clean."""
         workload = Workload(TINY, BFLOAT16, batch_size=1, input_tokens=32,
                             output_tokens=16)
-        loop = simulate_generation(workload, tdx_1s, seed=11, engine="loop")
-        vec = simulate_generation(workload, tdx_1s, seed=11,
-                                  engine="vectorized")
+        exact = simulate_generation(workload, tdx_1s, seed=11,
+                                    context_stride=1)
+        coarse = simulate_generation(workload, tdx_1s, seed=11,
+                                     context_stride=8)
+        assert not np.array_equal(exact.decode_clean_s, coarse.decode_clean_s)
         np.testing.assert_allclose(
-            loop.decode_noisy_s / loop.decode_clean_s,
-            vec.decode_noisy_s / vec.decode_clean_s, rtol=1e-12)
-
-    def test_unknown_engine_rejected(self, tdx_1s, small_workload):
-        with pytest.raises(ValueError, match="engine"):
-            simulate_generation(small_workload, tdx_1s, engine="quantum")
+            exact.decode_noisy_s / exact.decode_clean_s,
+            coarse.decode_noisy_s / coarse.decode_clean_s, rtol=1e-12)
 
 
 class TestCachedGraphs:
     @pytest.mark.parametrize("model", [TINY, LLAMA2_7B], ids=["tiny", "7b"])
     def test_cached_decode_graph_identical_totals(self, model):
-        fresh = decode_step_ops(model, BFLOAT16, 2, 130, 1)
-        cached = cached_decode_step_ops(model, BFLOAT16, 2, 130, 1)
-        assert merge_totals(fresh) == merge_totals(list(cached))
-        assert [op.name for op in fresh] == [op.name for op in cached]
+        """The memoized affine decode graph evaluates to the direct
+        graph's totals, field by field."""
+        context = 130
+        totals = merge_totals(decode_step_ops(model, BFLOAT16, 2, context, 1))
+        affine = decode_step_affine(model, BFLOAT16, 2, 1)
+        for field in AFFINE_FIELDS:
+            evaluated = sum(a.multiplicity * getattr(a, field)(context)
+                            for a in affine)
+            assert evaluated == pytest.approx(totals[field], rel=1e-12)
+        assert {a.name for a in affine} == {
+            op.name for op in decode_step_ops(model, BFLOAT16, 2, context, 1)}
 
     def test_cached_prefill_graph_identical_totals(self):
         fresh = prefill_ops(TINY, BFLOAT16, 2, 64, 1)
@@ -106,9 +105,10 @@ class TestCachedGraphs:
         assert merge_totals(fresh) == merge_totals(list(cached))
 
     def test_cached_graph_is_shared(self):
-        a = cached_decode_step_ops(TINY, BFLOAT16, 1, 77, 1)
-        b = cached_decode_step_ops(TINY, BFLOAT16, 1, 77, 1)
-        assert a is b
+        assert cached_prefill_ops(TINY, BFLOAT16, 1, 77, 1) \
+            is cached_prefill_ops(TINY, BFLOAT16, 1, 77, 1)
+        assert decode_step_affine(TINY, BFLOAT16, 1, 1) \
+            is decode_step_affine(TINY, BFLOAT16, 1, 1)
 
     def test_affine_model_collapses_layers(self):
         affine = decode_step_affine(TINY, BFLOAT16, 1, 1)
@@ -141,23 +141,32 @@ class TestRecordStepsBugfix:
 
     @pytest.mark.parametrize("engine", ["loop", "vectorized"])
     def test_clean_independent_of_recording(self, off_stride, tdx_1s, engine):
-        plain = simulate_generation(off_stride, tdx_1s, context_stride=7,
-                                    engine=engine)
+        """A recorded run's clean trajectory equals the unrecorded one
+        bitwise, and the per-token loop oracle's within 1e-9."""
         recorded = simulate_generation(off_stride, tdx_1s, context_stride=7,
-                                       record_steps=True, engine=engine)
-        np.testing.assert_array_equal(plain.decode_clean_s,
-                                      recorded.decode_clean_s)
+                                       record_steps=True)
+        if engine == "loop":
+            loop = reference_decode_clean(off_stride, tdx_1s,
+                                          context_stride=7)
+            assert _max_rel_err(recorded.decode_clean_s, loop) < 1e-9
+        else:
+            plain = simulate_generation(off_stride, tdx_1s,
+                                        context_stride=7)
+            np.testing.assert_array_equal(plain.decode_clean_s,
+                                          recorded.decode_clean_s)
 
     def test_sample_step_costed_exactly(self, off_stride, tdx_1s):
         result = simulate_generation(off_stride, tdx_1s, context_stride=7,
-                                     record_steps=True, engine="loop")
+                                     record_steps=True)
         sample_context = off_stride.input_tokens + off_stride.output_tokens // 2
         exact = decode_step_cost(off_stride, tdx_1s, sample_context)
         assert result.sample_decode_step.total_s == exact.total_s
         # ... while the clean trajectory keeps the stride-cadence cost.
         window_context = off_stride.input_tokens + 14  # last recompute at 14
         cadence = decode_step_cost(off_stride, tdx_1s, window_context)
-        assert result.decode_clean_s[15] == cadence.total_s
+        assert result.decode_clean_s[15] == pytest.approx(cadence.total_s,
+                                                          rel=1e-9)
+        assert result.decode_clean_s[15] == result.decode_clean_s[14]
 
 
 class TestEngineCache:
