@@ -2,10 +2,11 @@
 
 Times the simulator's hot paths (cold vs. warm, the vectorized decode
 engine vs. the frozen per-token loop oracle in ``repro.validate.oracle``,
-a representative sweep), collects the memo-cache counters from
-``repro.memo``, and optionally times the tier-1 test suite
-against a wall-clock budget.  Results are written as JSON so the numbers
-can be committed (``BENCH_sim.json``) and compared across PRs.
+a representative sweep, cold serving step costs, fleet smokes),
+collects the memo-cache counters from ``repro.memo``, and optionally
+times the tier-1 test suite against a wall-clock budget.  Results are
+written as JSON so the numbers can be committed (``BENCH_sim.json``)
+and compared across PRs.
 
 Usage::
 
@@ -96,9 +97,25 @@ def micro_benchmarks() -> dict:
         lambda: sweep_workload("bench", WORKLOAD, DEPLOYMENTS, "batch_size",
                                [1, 4, 16, 64]), repeats=3)
 
+    # Serving step costing: cold prefill lookups over 200 prompt
+    # lengths on a CPU TEE and a cGPU, each a new block-costed step
+    # shape (what a long-prompt fleet pays per new prompt length).
+    # Informational; not gated by --compare.
+    from repro.fleet import replica_spec
+    from repro.serving.stepcost import StepCostTable
+
+    def cold_prefill() -> None:
+        for kind in ("tdx", "cgpu"):
+            table = StepCostTable(replica_spec(kind).deployment, LLAMA2_7B,
+                                  BFLOAT16)
+            for prompt_tokens in range(1900, 2100):
+                table.prefill_s(prompt_tokens)
+
+    results["stepcost_cold_prefill"] = _time(cold_prefill, repeats=3)
+
     # Fleet smoke: a 2-replica TDX fleet serving a 40-request stream
     # through the shared-clock event loop (routing + stepped replicas).
-    from repro.fleet import fixed_fleet, poisson_table, replica_spec
+    from repro.fleet import fixed_fleet, poisson_table
     fleet_stream = poisson_table(40, rate_per_s=4.0, mean_prompt=128,
                                  mean_output=32, seed=11)
     fleet_spec = replica_spec("tdx", max_batch=16, kv_capacity_tokens=65536)

@@ -9,7 +9,7 @@ carries its own seed, so a sweep is a pure function of its arguments.
 
 from __future__ import annotations
 
-import math
+import numbers
 from typing import Callable
 
 from ..engine.placement import Deployment, Workload
@@ -21,23 +21,23 @@ def _validate_grid(parameter: str, values: list) -> None:
     """Reject malformed sweep grids before any experiment is built.
 
     Grid values name workload parameters (batch sizes, token counts,
-    core counts) so they must be positive finite numbers; catching a
-    NaN or negative here fails the whole sweep before its first
-    experiment runs.  Raises the structured
-    :class:`~repro.state.errors.StateValueError` (a ``ValueError``
-    subclass, so pre-existing handlers keep working).
+    core counts) so they must be positive integers; catching a NaN,
+    a fraction, a bool or a negative here fails the whole sweep before
+    its first experiment runs.  Numpy integers pass.  Raises the
+    structured :class:`~repro.state.errors.StateValueError` (a
+    ``ValueError`` subclass, so pre-existing handlers keep working).
     """
     if not values:
         raise StateValueError(f"sweep grid {parameter!r} must be non-empty")
     for slot, value in enumerate(values):
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
             raise StateValueError(
-                f"sweep grid {parameter!r}[{slot}] must be numeric, got "
-                f"{type(value).__name__}")
-        if not math.isfinite(value) or value <= 0:
+                f"sweep grid {parameter!r}[{slot}] must be an integer, got "
+                f"{value!r}")
+        if value <= 0:
             raise StateValueError(
-                f"sweep grid {parameter!r}[{slot}] must be a positive "
-                f"finite number, got {value!r}")
+                f"sweep grid {parameter!r}[{slot}] must be positive, got "
+                f"{value!r}")
 
 
 def sweep_workload(name: str, base: Workload,
@@ -56,7 +56,7 @@ def sweep_workload(name: str, base: Workload,
 
     Raises:
         repro.state.errors.StateValueError: On an empty grid or a
-            non-finite/non-positive value.
+            value that is not a positive integer.
     """
     _validate_grid(parameter, values)
     return {
@@ -79,7 +79,7 @@ def sweep_deployments(name: str, workload: Workload,
 
     Raises:
         repro.state.errors.StateValueError: On an empty grid or a
-            non-finite/non-positive value.
+            value that is not a positive integer.
     """
     _validate_grid(name, values)
     return {

@@ -105,6 +105,18 @@ class CpuPlacement:
     expose_hyperthreads: bool = False
 
     def __post_init__(self) -> None:
+        # Socket, core and cluster counts are whole: a bool or a float
+        # (even a whole one) is refused; numpy integers pass.
+        for field_name in ("sockets_used", "cores_per_socket_used",
+                           "snc_clusters"):
+            value = getattr(self, field_name)
+            if value is None and field_name == "cores_per_socket_used":
+                continue
+            if (isinstance(value, bool)
+                    or not isinstance(value, numbers.Integral)):
+                raise ValueError(
+                    f"placement {field_name} must be an integer, got "
+                    f"{value!r}")
         if not 1 <= self.sockets_used <= self.cpu.sockets:
             raise ValueError(
                 f"sockets_used must be in [1, {self.cpu.sockets}]")

@@ -26,6 +26,7 @@ from ..hardware.engines import (
     is_fallback_path,
 )
 from ..llm.datatypes import DType
+from ..llm.graph import StepGraph
 from ..llm.ops import AffineOp, Operator, OpCategory, Phase
 from ..memsim.cache import CacheModel
 from ..memsim.epc import EPC_FAULT_S, paging_fraction_vec, paging_overhead_s
@@ -107,6 +108,19 @@ class OpCost:
         return max(self.compute_s, self.memory_s) + self.translation_s + self.paging_s
 
 
+def _step_total(op_totals: list[float], exits_s: float,
+                tax_multiplier: float, fixed_s: float) -> float:
+    """A step's seconds from its per-operator totals in stream order.
+
+    ``sum`` adds left to right, so the result depends on the order and
+    count of the terms: a repeated decoder block must appear as its
+    per-op totals repeated ``num_layers`` times, never as
+    ``num_layers * block_sum``, which rounds differently.
+    """
+    raw = sum(op_totals) + exits_s
+    return raw * tax_multiplier + fixed_s
+
+
 @dataclass(frozen=True)
 class StepCost:
     """Cost of one full forward step."""
@@ -118,8 +132,8 @@ class StepCost:
 
     @property
     def total_s(self) -> float:
-        raw = sum(cost.total_s for cost in self.op_costs) + self.exits_s
-        return raw * self.tax_multiplier + self.fixed_s
+        return _step_total([cost.total_s for cost in self.op_costs],
+                           self.exits_s, self.tax_multiplier, self.fixed_s)
 
     @property
     def compute_s(self) -> float:
@@ -292,9 +306,6 @@ class CpuCostModel:
         component times reused — each still wrapped in its own
         :class:`OpCost` so per-layer traces group correctly.
         """
-        tax = 1.0 + self.profile.virtualization_tax
-        if self.placement.expose_hyperthreads:
-            tax += HYPERTHREAD_TAX
         memo: dict[tuple, OpCost] = {}
         op_costs = []
         for op in ops:
@@ -311,10 +322,32 @@ class CpuCostModel:
             op_costs.append(hit)
         return StepCost(
             op_costs=tuple(op_costs),
-            exits_s=self.profile.exit_cost_s * self.profile.exits_per_step,
+            exits_s=self._exits_s(),
             fixed_s=self.profile.step_fixed_s,
-            tax_multiplier=tax,
+            tax_multiplier=self._tax_multiplier(),
         )
+
+    def step_total_s(self, graph: StepGraph, sets: WorkingSets,
+                     dtype: DType) -> float:
+        """``step_cost(graph.ops(), sets, dtype).total_s``, bit for bit.
+
+        Costs each operator of the prologue, one block and the
+        epilogue once (:meth:`StepGraph.stream_values`); no per-layer
+        operator or :class:`OpCost` is built.
+        """
+        totals = graph.stream_values(
+            lambda op: self.op_cost(op, sets, dtype).total_s)
+        return _step_total(totals, self._exits_s(), self._tax_multiplier(),
+                           self.profile.step_fixed_s)
+
+    def _exits_s(self) -> float:
+        return self.profile.exit_cost_s * self.profile.exits_per_step
+
+    def _tax_multiplier(self) -> float:
+        tax = 1.0 + self.profile.virtualization_tax
+        if self.placement.expose_hyperthreads:
+            tax += HYPERTHREAD_TAX
+        return tax
 
     def step_costs_vec(self, affine_ops: Sequence[AffineOp],
                        contexts: np.ndarray, sets: WorkingSetsVec,
@@ -386,11 +419,8 @@ class CpuCostModel:
             total = total + aff.multiplicity * (
                 np.maximum(compute, memory) + translation + paging)
 
-        tax = 1.0 + self.profile.virtualization_tax
-        if self.placement.expose_hyperthreads:
-            tax += HYPERTHREAD_TAX
-        exits = self.profile.exit_cost_s * self.profile.exits_per_step
-        return (total + exits) * tax + self.profile.step_fixed_s
+        return ((total + self._exits_s()) * self._tax_multiplier()
+                + self.profile.step_fixed_s)
 
 
 class GpuCostModel:
@@ -439,6 +469,17 @@ class GpuCostModel:
             fixed_s=fixed,
             tax_multiplier=1.0,
         )
+
+    def step_total_s(self, graph: StepGraph, sets: WorkingSets,
+                     dtype: DType) -> float:
+        """``step_cost(graph.ops(), sets, dtype).total_s``, bit for bit,
+        costing the prologue, one block and the epilogue once.
+
+        No bounce-buffer staging is charged (``io_bytes=0``).
+        """
+        totals = graph.stream_values(
+            lambda op: self.op_cost(op, sets, dtype).total_s)
+        return _step_total(totals, 0.0, 1.0, self.profile.step_fixed_s)
 
     def step_costs_vec(self, affine_ops: Sequence[AffineOp],
                        contexts: np.ndarray, sets: WorkingSetsVec,

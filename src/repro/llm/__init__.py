@@ -18,7 +18,15 @@ from .config import (
     tiny_llama,
 )
 from .datatypes import BFLOAT16, FLOAT32, INT8, DType, all_dtypes, dtype_by_name
-from .graph import BLOCK_OP_NAMES, decode_step_ops, encode_ops, prefill_ops
+from .graph import (
+    BLOCK_OP_NAMES,
+    StepGraph,
+    decode_step_graph,
+    decode_step_ops,
+    encode_ops,
+    prefill_graph,
+    prefill_ops,
+)
 from .kvcache import KVCacheState, PagedKVCache
 from .ops import Operator, OpCategory, Phase, group_by_name, merge_totals
 from .quantize import (
@@ -39,7 +47,8 @@ __all__ = [
     "SBERT_BASE", "VALIDATION_MODELS", "ModelConfig", "all_models",
     "model_by_name", "tiny_llama",
     "BFLOAT16", "FLOAT32", "INT8", "DType", "all_dtypes", "dtype_by_name",
-    "BLOCK_OP_NAMES", "decode_step_ops", "encode_ops", "prefill_ops",
+    "BLOCK_OP_NAMES", "StepGraph", "decode_step_graph", "decode_step_ops",
+    "encode_ops", "prefill_graph", "prefill_ops",
     "KVCacheState", "PagedKVCache",
     "Operator", "OpCategory", "Phase", "group_by_name", "merge_totals",
     "QuantizedTensor", "int8_matmul", "quantization_error",

@@ -1,15 +1,21 @@
 """Decoder op-graph construction for prefill and decode steps.
 
-:func:`prefill_ops` and :func:`decode_step_ops` emit the operator stream
-of one forward step.  The operator names match the per-block layer
-categories in the paper's Fig. 7 trace study (input layernorm, QKV
-projection, self-attention, output projection, post-attention layernorm,
-gate/up projection with SiLU multiply, down projection, residuals).
+:func:`prefill_graph` and :func:`decode_step_graph` describe one forward
+step as a :class:`StepGraph`: prologue (embedding), one decoder block
+repeated ``num_layers`` times, and epilogue (final norm, LM head).
+:func:`prefill_ops` and :func:`decode_step_ops` expand that description
+into the full per-layer operator stream.  The block's operator names
+match the per-block layer categories in the paper's Fig. 7 trace study
+(input layernorm, QKV projection, self-attention, output projection,
+post-attention layernorm, gate/up projection with SiLU multiply, down
+projection, residuals).
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
+from typing import Callable
 
 from ..memo import MemoCache
 from .config import ModelConfig
@@ -183,40 +189,116 @@ def _embed_op(model: ModelConfig, dtype: DType, phase: Phase,
     )
 
 
-def prefill_ops(model: ModelConfig, dtype: DType, batch_size: int,
-                input_len: int, beam_size: int = 1) -> list[Operator]:
-    """Operator stream of one prefill over the prompt.
+@dataclass(frozen=True)
+class StepGraph:
+    """One forward step, block-structured.
+
+    A step is its prologue (the token embedding), ``num_layers``
+    repeats of one decoder block, and its epilogue (final norm and LM
+    head).  Every block of a step has the same operators with the same
+    cost fields; only the ``layer`` label differs.  :meth:`ops` expands
+    the description into the full per-layer stream, while cost models
+    can cost :meth:`block` once and repeat its per-op totals
+    (:meth:`~repro.engine.roofline.CpuCostModel.step_total_s`).
+
+    Attributes:
+        model: Architecture (supplies ``num_layers``).
+        dtype: Datatype of weights and activations.
+        phase: Prefill or decode.
+        sequences: Sequences in the step; each gets one logits row.
+        new_tokens: Tokens processed this step across the whole batch
+            (``sequences * seq_len`` in prefill, ``sequences`` in decode).
+        context_len: Attended context length per sequence.
+    """
+
+    model: ModelConfig
+    dtype: DType
+    phase: Phase
+    sequences: float
+    new_tokens: float
+    context_len: float
+
+    @property
+    def num_layers(self) -> int:
+        """How many times :meth:`block` repeats in the stream."""
+        return self.model.num_layers
+
+    def prologue(self) -> list[Operator]:
+        """Operators before the first decoder block."""
+        return [_embed_op(self.model, self.dtype, self.phase,
+                          self.new_tokens)]
+
+    def block(self, layer: int = 0) -> list[Operator]:
+        """Operators of the decoder block at ``layer``."""
+        return _block_ops(self.model, self.dtype, self.phase, layer,
+                          new_tokens=self.new_tokens,
+                          context_len=self.context_len,
+                          sequences=self.sequences)
+
+    def epilogue(self) -> list[Operator]:
+        """Operators after the last decoder block."""
+        return _head_ops(self.model, self.dtype, self.phase,
+                         logits_tokens=self.sequences)
+
+    def ops(self) -> list[Operator]:
+        """The full operator stream, one block per layer, in order."""
+        ops = self.prologue()
+        for layer in range(self.num_layers):
+            ops.extend(self.block(layer))
+        ops.extend(self.epilogue())
+        return ops
+
+    def stream_values(self, value: Callable[[Operator], float]) -> list[float]:
+        """``[value(op) for op in self.ops()]``, evaluating one block.
+
+        The block's values are repeated ``num_layers`` times in place
+        of per-layer evaluation, which is exact for any ``value`` that
+        ignores ``layer`` (the cost models do).  Summing the list left
+        to right then reproduces the full stream's float sum bit for
+        bit; ``num_layers * sum(block)`` would not.
+        """
+        return ([value(op) for op in self.prologue()]
+                + [value(op) for op in self.block()] * self.num_layers
+                + [value(op) for op in self.epilogue()])
+
+
+def prefill_graph(model: ModelConfig, dtype: DType, batch_size: int,
+                  input_len: int, beam_size: int = 1) -> StepGraph:
+    """Block-structured description of one prefill over the prompt.
 
     Beam search shares the prompt forward pass across beams (the KV cache
     is replicated afterwards), so prefill cost scales with ``batch_size``
-    only.
+    only.  Only the last position of each sequence needs logits.
     """
     _check_shape(batch_size, input_len, beam_size)
     sequences = float(batch_size)
-    tokens = sequences * input_len
-    ops = [_embed_op(model, dtype, Phase.PREFILL, tokens)]
-    for layer in range(model.num_layers):
-        ops.extend(_block_ops(model, dtype, Phase.PREFILL, layer,
-                              new_tokens=tokens, context_len=float(input_len),
-                              sequences=sequences))
-    # Only the last position of each sequence needs logits after prefill.
-    ops.extend(_head_ops(model, dtype, Phase.PREFILL, logits_tokens=sequences))
-    return ops
+    return StepGraph(model, dtype, Phase.PREFILL, sequences=sequences,
+                     new_tokens=sequences * input_len,
+                     context_len=float(input_len))
+
+
+def decode_step_graph(model: ModelConfig, dtype: DType, batch_size: int,
+                      context_len: int, beam_size: int = 1) -> StepGraph:
+    """Block-structured description of one decode step at a context."""
+    _check_shape(batch_size, context_len, beam_size)
+    sequences = float(batch_size * beam_size)
+    return StepGraph(model, dtype, Phase.DECODE, sequences=sequences,
+                     new_tokens=sequences, context_len=float(context_len))
+
+
+def prefill_ops(model: ModelConfig, dtype: DType, batch_size: int,
+                input_len: int, beam_size: int = 1) -> list[Operator]:
+    """Operator stream of one prefill (:func:`prefill_graph` expanded)."""
+    return prefill_graph(model, dtype, batch_size, input_len,
+                         beam_size).ops()
 
 
 def decode_step_ops(model: ModelConfig, dtype: DType, batch_size: int,
                     context_len: int, beam_size: int = 1) -> list[Operator]:
-    """Operator stream of one decode step at a given context length."""
-    _check_shape(batch_size, context_len, beam_size)
-    sequences = float(batch_size * beam_size)
-    ops = [_embed_op(model, dtype, Phase.DECODE, sequences)]
-    for layer in range(model.num_layers):
-        ops.extend(_block_ops(model, dtype, Phase.DECODE, layer,
-                              new_tokens=sequences,
-                              context_len=float(context_len),
-                              sequences=sequences))
-    ops.extend(_head_ops(model, dtype, Phase.DECODE, logits_tokens=sequences))
-    return ops
+    """Operator stream of one decode step (:func:`decode_step_graph`
+    expanded)."""
+    return decode_step_graph(model, dtype, batch_size, context_len,
+                             beam_size).ops()
 
 
 def encode_ops(model: ModelConfig, dtype: DType, batch_size: int,
@@ -255,10 +337,11 @@ def decode_step_affine(model: ModelConfig, dtype: DType, batch_size: int,
                        beam_size: int = 1) -> tuple[AffineOp, ...]:
     """Affine-in-context model of one decode step, layers collapsed.
 
-    Builds the operator stream at two reference contexts, differences
-    the cost fields into ``base + slope * context`` templates, verifies
-    the affine model against a third context, and merges identical
-    per-layer operators via ``multiplicity``.  The result is cached per
+    Builds the step's prologue, one decoder block and epilogue at two
+    reference contexts, differences the cost fields into ``base + slope
+    * context`` templates, verifies the affine model against a third
+    context, and gives the block's templates ``multiplicity =
+    num_layers``.  The result is cached per
     ``(model, dtype, batch, beams)`` — it is independent of prompt and
     output lengths, so every input-length sweep shares one entry.
 
@@ -273,42 +356,39 @@ def decode_step_affine(model: ModelConfig, dtype: DType, batch_size: int,
 
 def _build_decode_affine(model: ModelConfig, dtype: DType, batch_size: int,
                          beam_size: int) -> tuple[AffineOp, ...]:
-    lo = decode_step_ops(model, dtype, batch_size, _AFFINE_LO, beam_size)
-    hi = decode_step_ops(model, dtype, batch_size, _AFFINE_HI, beam_size)
-    check = decode_step_ops(model, dtype, batch_size, _AFFINE_CHECK, beam_size)
-    groups: dict[tuple, AffineOp] = {}
-    order: list[tuple] = []
-    for op_lo, op_hi, op_check in zip(lo, hi, check):
-        bases, slopes = {}, {}
-        for field in AFFINE_FIELDS:
-            v_lo, v_hi = getattr(op_lo, field), getattr(op_hi, field)
-            slope = (v_hi - v_lo) / (_AFFINE_HI - _AFFINE_LO)
-            base = v_lo - slope * _AFFINE_LO
-            predicted = base + slope * _AFFINE_CHECK
-            actual = getattr(op_check, field)
-            if not math.isclose(predicted, actual, rel_tol=1e-9, abs_tol=1e-6):
-                raise RuntimeError(
-                    f"{op_lo.name}.{field} is not affine in context "
-                    f"(predicted {predicted}, got {actual}); the vectorized "
-                    f"decode engine cannot cost this graph")
-            bases[field] = base
-            slopes[field] = slope
-        key = (op_lo.name, op_lo.category,
-               tuple(bases.values()), tuple(slopes.values()))
-        if key in groups:
-            existing = groups[key]
-            groups[key] = AffineOp(base=existing.base, slope=existing.slope,
-                                   multiplicity=existing.multiplicity + 1)
-        else:
-            template = {"name": op_lo.name, "category": op_lo.category,
-                        "phase": Phase.DECODE, "layer": op_lo.layer}
-            groups[key] = AffineOp(
-                base=Operator(**template, **bases),
-                slope=Operator(**template, **slopes),
-                multiplicity=1,
-            )
-            order.append(key)
-    return tuple(groups[key] for key in order)
+    lo, hi, check = (decode_step_graph(model, dtype, batch_size, context,
+                                       beam_size)
+                     for context in (_AFFINE_LO, _AFFINE_HI, _AFFINE_CHECK))
+    parts = ((StepGraph.prologue, 1), (StepGraph.block, model.num_layers),
+             (StepGraph.epilogue, 1))
+    return tuple(
+        _affine_op(op_lo, op_hi, op_check, multiplicity)
+        for part, multiplicity in parts
+        for op_lo, op_hi, op_check in zip(part(lo), part(hi), part(check)))
+
+
+def _affine_op(op_lo: Operator, op_hi: Operator, op_check: Operator,
+               multiplicity: int) -> AffineOp:
+    """Difference one operator at two contexts into an affine template."""
+    bases, slopes = {}, {}
+    for field in AFFINE_FIELDS:
+        v_lo, v_hi = getattr(op_lo, field), getattr(op_hi, field)
+        slope = (v_hi - v_lo) / (_AFFINE_HI - _AFFINE_LO)
+        base = v_lo - slope * _AFFINE_LO
+        predicted = base + slope * _AFFINE_CHECK
+        actual = getattr(op_check, field)
+        if not math.isclose(predicted, actual, rel_tol=1e-9, abs_tol=1e-6):
+            raise RuntimeError(
+                f"{op_lo.name}.{field} is not affine in context "
+                f"(predicted {predicted}, got {actual}); the vectorized "
+                f"decode engine cannot cost this graph")
+        bases[field] = base
+        slopes[field] = slope
+    template = {"name": op_lo.name, "category": op_lo.category,
+                "phase": Phase.DECODE, "layer": op_lo.layer}
+    return AffineOp(base=Operator(**template, **bases),
+                    slope=Operator(**template, **slopes),
+                    multiplicity=multiplicity)
 
 
 def _check_shape(batch_size: int, length: int, beam_size: int) -> None:

@@ -12,11 +12,23 @@ truth.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
+from ..engine.roofline import cost_model_for
 from ..engine.simulator import _working_sets, simulate_generation
 from ..engine.vectorized import decode_cost_engine
-from ..llm.graph import decode_step_ops, prefill_ops
+from ..fleet.replica import REPLICA_KINDS, replica_spec
+from ..llm.config import LLAMA2_7B, LLAMA2_13B, LLAMA2_70B
+from ..llm.datatypes import BFLOAT16, INT8
+from ..llm.graph import (
+    decode_step_graph,
+    decode_step_ops,
+    prefill_graph,
+    prefill_ops,
+)
+from ..llm.ops import Phase
 from ..llm.reference import FlopRecorder, ReferenceTransformer
 from ..memo import clear_all_caches
 from ..memsim.epc import EpcPager, paging_fraction, paging_fraction_vec
@@ -26,6 +38,7 @@ from ..memsim.tlb import (
     streaming_miss_rate,
     streaming_miss_rate_vec,
 )
+from ..serving.stepcost import StepCostTable
 from .context import AuditContext
 from .oracle import reference_decode_clean
 from .registry import CheckFailure, check
@@ -53,6 +66,70 @@ def vectorized_loop_parity(ctx: AuditContext) -> str:
             f"engines diverge: max rel err {worst:.3e} >= "
             f"{ctx.tol.engine_parity_rel:.0e}", deltas={"max_rel_err": worst})
     return f"max rel err {worst:.2e}"
+
+
+#: Serving step shapes the block-costing parity check covers: prompt
+#: lengths 1..N plus one compute-bound prompt, and (batch, context
+#: bucket) decode shapes.
+_BLOCK_PARITY_PREFILL = (1, 2, 3, 2048)
+_BLOCK_PARITY_DECODE = ((1, 16), (7, 1024), (32, 4032))
+
+
+@check("serving.step_cost_block_parity", family="differential",
+       layers=("serving", "engine", "llm"))
+def step_cost_block_parity(ctx: AuditContext) -> str:
+    """Block-costed serving steps equal full-stream step costs bit for bit."""
+    deployments = {kind: replica_spec(kind).deployment
+                   for kind in REPLICA_KINDS}
+    cost_models = {kind: cost_model_for(deployment)
+                   for kind, deployment in deployments.items()}
+    shapes = 0
+    for model in (LLAMA2_7B, LLAMA2_13B, LLAMA2_70B):
+        for dtype in (BFLOAT16, INT8):
+            tables = {kind: StepCostTable(deployment, model, dtype)
+                      for kind, deployment in deployments.items()}
+            # (label, full stream, block description, batch, context)
+            cases = [
+                (f"prefill {length}", prefill_ops(model, dtype, 1, length),
+                 prefill_graph(model, dtype, 1, length), 1, length)
+                for length in _BLOCK_PARITY_PREFILL]
+            cases += [
+                (f"decode {batch}x{context}",
+                 decode_step_ops(model, dtype, batch, context),
+                 decode_step_graph(model, dtype, batch, context), batch,
+                 context)
+                for batch, context in _BLOCK_PARITY_DECODE]
+            for label, stream, graph, batch, context in cases:
+                last_layer = graph.num_layers - 1
+                first_block = graph.block(0)
+                last_block = graph.block(last_layer)
+                if [replace(op, layer=0) for op in last_block] != first_block:
+                    raise CheckFailure(
+                        f"{model.name} {dtype.name} {label}: block at layer "
+                        f"{last_layer} differs from layer 0 beyond its label")
+                for kind, table in tables.items():
+                    where = f"{kind} {model.name} {dtype.name} {label}"
+                    cost_model = cost_models[kind]
+                    sets = table.working_sets(batch, context)
+                    block_costed = (table.prefill_s(context)
+                                    if graph.phase is Phase.PREFILL
+                                    else table.decode_step_s(batch, context))
+                    full = cost_model.step_cost(stream, sets, dtype).total_s
+                    if block_costed != full:
+                        raise CheckFailure(
+                            f"{where}: block-costed {block_costed!r} != "
+                            f"full stream {full!r}",
+                            deltas={"block_costed": block_costed,
+                                    "full": full})
+                    first, last = (
+                        cost_model.step_cost(block, sets, dtype).total_s
+                        for block in (first_block, last_block))
+                    if first != last:
+                        raise CheckFailure(
+                            f"{where}: block at layer 0 costs {first!r}, "
+                            f"at layer {last_layer} {last!r}")
+                    shapes += 1
+    return f"{shapes} step shapes bit-identical, blocks layer-invariant"
 
 
 @check("engine.memo_bit_identity", family="differential",

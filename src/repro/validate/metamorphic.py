@@ -15,6 +15,7 @@ import numpy as np
 
 from ..engine.simulator import decode_step_cost, prefill_step_cost
 from ..engine.vectorized import decode_cost_engine
+from ..llm.config import LLAMA2_7B, LLAMA2_13B
 from ..llm.datatypes import INT8
 from ..llm.kvcache import PagedKVCache
 from ..memsim.epc import paging_overhead_s
@@ -120,6 +121,55 @@ def gpu_overhead_nonnegative(ctx: AuditContext) -> str:
             f"{raw.total_time_s:.6e}s")
     overhead = confidential.total_time_s / raw.total_time_s - 1.0
     return f"cgpu +{overhead:.1%} over gpu"
+
+
+#: Fig. 11 grids: batch sizes at a 256-token prompt, prompt lengths at
+#: batch 1 (64 output tokens each).
+_GPU_DECAY_BATCHES = (1, 2, 4, 8, 16, 32)
+_GPU_DECAY_INPUTS = (32, 64, 128, 256, 512, 1024, 2048)
+
+
+@check("tee.gpu_overhead_decays_with_scale", family="metamorphic",
+       layers=("tee", "engine"))
+def gpu_overhead_decays_with_scale(ctx: AuditContext) -> str:
+    """cGPU overhead over the raw GPU falls with batch, input and model size.
+
+    Fig. 11's shape: confidential mode adds a roughly fixed per-step
+    cost (launch tax, bounce-buffer staging), so its share of the clean
+    end-to-end time shrinks as the work per step grows.
+    """
+    def overhead(model, batch: int, input_tokens: int) -> float:
+        workload = ctx.small_workload(model=model, batch_size=batch,
+                                      input_tokens=input_tokens,
+                                      output_tokens=64)
+        clean = [ctx.simulate(workload, ctx.gpu(confidential=confidential))
+                 for confidential in (False, True)]
+        raw, cgpu = (result.prefill_s + result.decode_clean_s.sum()
+                     for result in clean)
+        return float(cgpu / raw - 1.0)
+
+    def strictly_falling(values: list[float], label: str) -> None:
+        for earlier, later in zip(values, values[1:]):
+            if not later < earlier:
+                raise CheckFailure(
+                    f"{label} does not fall: {earlier:.4%} -> {later:.4%}",
+                    deltas={"earlier": earlier, "later": later})
+
+    curves = []
+    for model in (LLAMA2_7B, LLAMA2_13B):
+        by_batch = [overhead(model, batch, 256)
+                    for batch in _GPU_DECAY_BATCHES]
+        by_input = [overhead(model, 1, length)
+                    for length in _GPU_DECAY_INPUTS]
+        strictly_falling(by_batch, f"{model.name} cGPU overhead vs batch")
+        strictly_falling(by_input, f"{model.name} cGPU overhead vs input")
+        curves.append((by_batch, by_input))
+    (batch_7b, input_7b), (batch_13b, input_13b) = curves
+    for small, large in zip(batch_7b + input_7b, batch_13b + input_13b):
+        strictly_falling([small, large], "cGPU overhead 7B -> 13B")
+    return (f"7B {batch_7b[0]:.2%} -> {batch_7b[-1]:.2%} over batch, "
+            f"{input_7b[0]:.2%} -> {input_7b[-1]:.2%} over input; 13B "
+            f"{batch_13b[0]:.2%} -> {batch_13b[-1]:.2%} over batch")
 
 
 @check("tee.amx_off_never_faster", family="metamorphic",

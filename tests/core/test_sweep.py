@@ -1,5 +1,6 @@
 """Sweep runner and series extraction."""
 
+import numpy as np
 import pytest
 
 from repro.core.experiment import cpu_deployment
@@ -13,6 +14,7 @@ from repro.core.sweep import (
 from repro.engine.placement import Workload
 from repro.llm.config import LLAMA2_7B
 from repro.llm.datatypes import BFLOAT16
+from repro.state.errors import StateValueError
 
 
 @pytest.fixture(scope="module")
@@ -41,6 +43,45 @@ class TestSweepWorkload:
         with pytest.raises(ValueError):
             sweep_workload("t", Workload(LLAMA2_7B, BFLOAT16), deployments,
                            "batch_size", [])
+
+
+class TestGridValidation:
+    @pytest.mark.parametrize("bad", [1.5, 8.0, True, float("nan"), "8"])
+    def test_non_integer_workload_grid_rejected(self, deployments, bad):
+        with pytest.raises(StateValueError, match="integer"):
+            sweep_workload("t", Workload(LLAMA2_7B, BFLOAT16), deployments,
+                           "batch_size", [1, bad])
+
+    @pytest.mark.parametrize("bad", [0, -4])
+    def test_non_positive_grid_rejected(self, deployments, bad):
+        with pytest.raises(StateValueError, match="positive"):
+            sweep_workload("t", Workload(LLAMA2_7B, BFLOAT16), deployments,
+                           "batch_size", [bad])
+
+    def test_fractional_core_grid_fails_at_the_grid(self):
+        # Regression: a 1.5-core grid point used to simulate 1.5 cores.
+        built = []
+
+        def make(cores):
+            built.append(cores)
+            return {"baremetal": cpu_deployment(
+                "baremetal", sockets_used=1, cores_per_socket_used=cores)}
+
+        workload = Workload(LLAMA2_7B, BFLOAT16, batch_size=1,
+                            input_tokens=64, output_tokens=4)
+        with pytest.raises(StateValueError, match=r"cores'\[1\]"):
+            sweep_deployments("cores", workload, make, [8, 1.5])
+        assert built == []
+
+    def test_numpy_integer_grid_accepted(self):
+        workload = Workload(LLAMA2_7B, BFLOAT16, batch_size=1,
+                            input_tokens=64, output_tokens=4)
+        outcomes = sweep_deployments(
+            "cores", workload,
+            lambda cores: {"baremetal": cpu_deployment(
+                "baremetal", sockets_used=1, cores_per_socket_used=cores)},
+            [np.int64(8)])
+        assert list(outcomes) == [8]
 
 
 class TestSweepDeployments:

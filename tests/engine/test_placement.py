@@ -85,6 +85,29 @@ class TestCpuPlacement:
         with pytest.raises(ValueError):
             CpuPlacement(EMR1, cores_per_socket_used=64)
 
+    @pytest.mark.parametrize("field, bad", [
+        ("cores_per_socket_used", 8.5),
+        ("cores_per_socket_used", 8.0),
+        ("cores_per_socket_used", True),
+        ("sockets_used", 1.5),
+        ("sockets_used", 1.0),
+        ("sockets_used", True),
+        ("snc_clusters", 2.5),
+        ("snc_clusters", True),
+        ("snc_clusters", float("nan")),
+    ])
+    def test_non_integer_counts_rejected(self, field, bad):
+        # Regression: 8.5 cores simulated 8.5 cores, sockets_used=1.5
+        # gave 90.0 cores and True passed as one socket.
+        with pytest.raises(ValueError, match="integer"):
+            CpuPlacement(EMR2, **{field: bad})
+
+    def test_numpy_integer_counts_accepted(self):
+        placement = CpuPlacement(EMR2, sockets_used=np.int64(2),
+                                 cores_per_socket_used=np.int32(16),
+                                 snc_clusters=np.int64(2))
+        assert placement.cores == 32
+
 
 class TestDeployment:
     def test_device_mismatch_backend(self):

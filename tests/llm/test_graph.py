@@ -1,16 +1,33 @@
 """Operator-graph construction: structure and scaling laws."""
 
+from dataclasses import replace
+
 import pytest
 
-from repro.llm.config import GPTJ_6B, LLAMA2_7B, LLAMA2_70B, SBERT_BASE
+from repro.llm.config import (
+    GPTJ_6B,
+    LLAMA2_7B,
+    LLAMA2_13B,
+    LLAMA2_70B,
+    SBERT_BASE,
+)
 from repro.llm.datatypes import BFLOAT16, INT8
 from repro.llm.graph import (
     BLOCK_OP_NAMES,
+    _build_decode_affine,
+    decode_step_graph,
     decode_step_ops,
     encode_ops,
     prefill_ops,
 )
-from repro.llm.ops import OpCategory, Phase, merge_totals
+from repro.llm.ops import (
+    AFFINE_FIELDS,
+    AffineOp,
+    Operator,
+    OpCategory,
+    Phase,
+    merge_totals,
+)
 
 
 class TestStructure:
@@ -143,3 +160,54 @@ class TestValidation:
                       if op.category is OpCategory.GEMM}
         assert {"qkv_proj", "o_proj", "gate_up_proj", "down_proj",
                 "lm_head"} <= gemm_names
+
+
+class TestStepGraph:
+    def test_block_differs_across_layers_only_by_label(self):
+        graph = decode_step_graph(LLAMA2_70B, BFLOAT16, 4, 1024)
+        first, last = graph.block(0), graph.block(graph.num_layers - 1)
+        assert [op.name for op in first] == list(BLOCK_OP_NAMES)
+        assert {op.layer for op in last} == {graph.num_layers - 1}
+        assert [replace(op, layer=0) for op in last] == first
+
+
+def _merged_affine_from_streams(model, dtype, batch, beams):
+    """The decode affine model built the pre-block way: difference three
+    full operator streams and merge identical per-layer operators."""
+    lo, hi, check = (decode_step_ops(model, dtype, batch, context, beams)
+                     for context in (1, 2, 7))
+    groups, order = {}, []
+    for op_lo, op_hi, op_check in zip(lo, hi, check):
+        bases, slopes = {}, {}
+        for field in AFFINE_FIELDS:
+            v_lo, v_hi = getattr(op_lo, field), getattr(op_hi, field)
+            slope = (v_hi - v_lo) / (2 - 1)
+            bases[field] = v_lo - slope * 1
+            slopes[field] = slope
+        key = (op_lo.name, op_lo.category, tuple(bases.values()),
+               tuple(slopes.values()))
+        if key in groups:
+            existing = groups[key]
+            groups[key] = AffineOp(base=existing.base, slope=existing.slope,
+                                   multiplicity=existing.multiplicity + 1)
+        else:
+            template = {"name": op_lo.name, "category": op_lo.category,
+                        "phase": Phase.DECODE, "layer": op_lo.layer}
+            groups[key] = AffineOp(base=Operator(**template, **bases),
+                                   slope=Operator(**template, **slopes),
+                                   multiplicity=1)
+            order.append(key)
+    return tuple(groups[key] for key in order)
+
+
+class TestDecodeAffineFromBlock:
+    @pytest.mark.parametrize("model", [LLAMA2_7B, LLAMA2_13B, LLAMA2_70B],
+                             ids=lambda m: m.name)
+    @pytest.mark.parametrize("batch", [1, 8])
+    @pytest.mark.parametrize("beams", [1, 4])
+    def test_equals_the_merged_full_stream_model(self, model, batch, beams):
+        built = _build_decode_affine(model, BFLOAT16, batch, beams)
+        assert built == _merged_affine_from_streams(model, BFLOAT16, batch,
+                                                    beams)
+        assert [a.multiplicity for a in built] == (
+            [1] + [model.num_layers] * len(BLOCK_OP_NAMES) + [1, 1])
